@@ -1,9 +1,10 @@
-"""The four benchmark families, each a pass run one unit at a time.
+"""The four benchmark families, each run as one pass of units.
 
-A pass object lists its units (zero-argument callables).  Each unit times
-its own calls into gsvdist and records them as samples, grouped by kind and
-keyed by item (an experiment, a triple, a call of one pair, a command), so
-that repeated passes can be reduced item by item (``summary.py``).  Inputs
+A pass object lists its units (zero-argument callables), which the worker
+runs in order.  Each unit times its own calls into gsvdist and records them
+as samples, grouped by kind and keyed by item (an experiment, a triple, a
+call of one pair, a command), so that repeated passes can be reduced item
+by item (``summary.py``).  Inputs
 are made before the timed calls unless drawing is the operation.  Output
 checks run outside the timed region; an exception or a failed check counts
 as a failed operation, a statistical rejection as ``verdicts_failed``.  A
@@ -63,9 +64,8 @@ class Pass:
     def record(self, group: str, item, value: float) -> None:
         self.samples.setdefault(group, {})[str(item)] = value
 
-    def result(self, complete: bool) -> dict:
+    def result(self) -> dict:
         out = {
-            "complete": complete,
             "unit_s": self.unit_s,
             "samples": self.samples,
             "attempted": self.attempted,
@@ -73,7 +73,7 @@ class Pass:
             "verdicts_failed": self.verdicts_failed,
             "messages": self.messages,
         }
-        if complete and self.tracer.traced:
+        if self.tracer.traced:
             out["layer"] = self.layer()
         return out
 
@@ -93,8 +93,6 @@ VERIFY_PLAN = (
     ("equivalence", (8, 10, 12), 20_000, 2),
     ("marginal", (8, 10, 12), 20_000, 2),
 )
-# sample batches each experiment draws, all of size ``samples``
-VERIFY_BATCHES = {"equivalence": 2, "marginal": 2, "haar": 3, "qpower": 1}
 SMOKE_DIVISOR = 10
 SMOKE_EXPERIMENTS = 6
 PARALLEL_DIMS = (8, 10, 12)
@@ -128,8 +126,32 @@ def _report_problem(report, samples: int) -> str | None:
     return None
 
 
+class DrawCounter:
+    """Counts the draws ``run_experiment`` makes, as each returned
+    ``SampleBatch.count`` reports them.
+
+    The samplers are rebound in ``gsvdist.montecarlo``, where
+    ``run_experiment`` looks them up at call time; the wrapper adds one
+    Python call per batch and no timing."""
+
+    def __init__(self):
+        self.draws = 0
+        mc = sys.modules["gsvdist.montecarlo"]
+        for fn in SAMPLERS:
+            setattr(mc, fn, self._counting(getattr(mc, fn)))
+
+    def _counting(self, sampler):
+        def counting(*args, **kwargs):
+            batch = sampler(*args, **kwargs)
+            self.draws += batch.count
+            return batch
+
+        return counting
+
+
 class VerifyPass(Pass):
     def units(self):
+        self.counter = DrawCounter()
         # the smoke pass leaves out the wide case and its l = 6 table build
         plan = VERIFY_PLAN[:SMOKE_EXPERIMENTS] if self.smoke else VERIFY_PLAN
         return [lambda i=i: self._experiment(i) for i in range(len(plan))]
@@ -139,6 +161,7 @@ class VerifyPass(Pass):
         if self.smoke:
             samples //= SMOKE_DIVISOR
         self.attempted += 1
+        drawn = self.counter.draws
         t0 = clock()
         try:
             with self.tracer.span("bench.experiment"):
@@ -156,7 +179,7 @@ class VerifyPass(Pass):
             self.fail(f"{experiment}{dims}", problem)
             return
         self.record("experiment_s", i, self.unit_s[-1])
-        self.record("draws", i, VERIFY_BATCHES[experiment] * samples)
+        self.record("draws", i, self.counter.draws - drawn)
         self.verdicts_failed += not report.passed
 
     def layer(self) -> dict:
@@ -254,8 +277,10 @@ class LawsPass(Pass):
         groups = [triples[i:i + LAW_UNIT_TRIPLES] for i in range(0, len(triples), LAW_UNIT_TRIPLES)]
         rng = np.random.default_rng(self.seed)
         self.big = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), BIG_POINTS[self.smoke]))
-        return ([self._anchors]
-                + [lambda grp=grp: self._triples(grp) for grp in groups]
+        # the anchors run after the sweep: their pdf call builds the (2,2,2)
+        # table, which the sweep must find cold
+        return ([lambda grp=grp: self._triples(grp) for grp in groups]
+                + [self._anchors]
                 + [lambda t=t: self._big_grid(t) for t in BIG_TRIPLES[self.smoke]])
 
     def _anchors(self) -> None:
@@ -337,7 +362,7 @@ class LawsPass(Pass):
 
 # ---- pairs: the single-pair public API -----------------------------------------
 
-PAIR_COUNT = {False: 2000, True: 500}
+PAIR_COUNT = 500
 PAIR_UNIT = 100
 PAIR_CALLS = {
     "gsvd_spectrum": "engine.spectrum_us",
@@ -381,7 +406,7 @@ def _factor_problem(f, a, c, qpower) -> str | None:
 
 class PairsPass(Pass):
     def units(self):
-        dims = list(enumerate(pair_dims(self.seed, PAIR_COUNT[self.smoke])))
+        dims = list(enumerate(pair_dims(self.seed, PAIR_COUNT)))
         return [lambda chunk=dims[i:i + PAIR_UNIT]: self._pairs(chunk)
                 for i in range(0, len(dims), PAIR_UNIT)]
 
@@ -443,13 +468,13 @@ class PairsPass(Pass):
 # ---- cli: process start, imports and output ------------------------------------
 
 IMPORT_MODULES = ("numpy", "scipy.linalg", "scipy.special", "scipy.integrate", "gsvdist")
-SAMPLE_COUNT = {False: 20_000, True: 4_000}
+SAMPLE_COUNT = 4_000
 
 
-def cli_commands(seed: int, smoke: bool) -> list[tuple[str, list[str], str | None]]:
+def cli_commands(seed: int) -> list[tuple[str, list[str], str | None]]:
     """(name, argv, output file or None) in the order they run."""
     sample = ["sample", "--sampler", "gsvd", "--m", "2", "--q", "3", "--n", "2",
-              "--samples", str(SAMPLE_COUNT[smoke]), "--seed", str(seed)]
+              "--samples", str(SAMPLE_COUNT), "--seed", str(seed)]
     csv_path = os.path.join(OUT_DIR, "sample.csv")
     json_path = os.path.join(OUT_DIR, "sample.json")
     return [
@@ -507,7 +532,7 @@ class CliPass(Pass):
     def units(self):
         os.makedirs(OUT_DIR, exist_ok=True)
         self.probes = {}
-        return [lambda cmd=cmd: self._command(*cmd) for cmd in cli_commands(self.seed, self.smoke)]
+        return [lambda cmd=cmd: self._command(*cmd) for cmd in cli_commands(self.seed)]
 
     def _command(self, name: str, argv: list[str], path: str | None) -> None:
         self.attempted += 1

@@ -2,27 +2,27 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload {verify,laws,pairs,cli} --seed N \\
+    python3 perfbench/run.py --workload {verify,laws} --seed N \\
         --seconds S --trace {0,1} [--smoke]
 
-The package is imported from ``src/`` of the checkout; the run fails with
-a non-zero exit when ``src/gsvdist`` is missing.
+The workloads are the ones ``BENCHMARK.json`` names.  The package is
+imported from ``src/`` of the checkout; the run fails with a non-zero exit
+when ``src/gsvdist`` is missing.
 
 Each workload is named after the family of operations it measures
 (``families.py``).  Every pass of a family runs in a fresh worker process
 (``worker.py``) whose ``import gsvdist`` time is one ``setup_s`` sample.
-The named family runs full-size passes for about ``--seconds``; the other
-three run smoke-size passes, so that every run reports every metric of
-``BENCHMARK.json``.  The orchestrator advances the passes one unit at a
-time and interleaves them, giving the smoke passes 40 % of the
-time, so that the samples of every metric are spread over the whole run
-and one slow spell of the shared machine cannot set a metric.  Only one
-worker computes at any moment.
+The named family runs full-size passes and the other three smoke-size
+passes, so that every run reports every metric of ``BENCHMARK.json``.  For
+up to ``--seconds`` the passes run one process after another, each time for
+the family furthest below its share of the time (60 % for the named
+family), so that a family with short passes repeats them more often and
+the repeats of every metric are spread over the whole run.
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs the
-named family untraced in the first half and traced in the second, traces
-the smoke passes, and reports the per-layer metrics and the tracing
-overhead.  ``--smoke`` runs exactly one smoke-size pass of every family.
+``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs the named
+family both untraced and traced, traces the smoke passes, and reports the
+per-layer metrics and the tracing overhead.  ``--smoke`` runs one pass of
+every family at smoke size.
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  The lines before it give the
@@ -36,7 +36,6 @@ import argparse
 import json
 import math
 import os
-import select
 import statistics
 import subprocess
 import sys
@@ -48,11 +47,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKER = os.path.join(HERE, "worker.py")
 FAMILIES = ("verify", "laws", "pairs", "cli")
-# share of the busy time that goes to the smoke passes of the other families
-PROBE_SHARE = 0.4
-WORKER_TIMEOUT_S = 60
-# a run that has not finished its passes by then is an error
+# share of the run that goes to the named family's passes; the other
+# families' smoke passes share the rest equally
+HOME_SHARE = 0.6
+# no pass starts after this; a run must end well within 180 s
 RUN_CAP_S = 110.0
+WORKER_TIMEOUT_S = 60
 clock = time.perf_counter
 
 
@@ -60,141 +60,72 @@ class BenchError(RuntimeError):
     pass
 
 
-def _worker_argv(family: str, seed: int, smoke: bool, traced: bool) -> list[str]:
-    flags = ["--smoke"] * smoke + ["--trace"] * traced
-    return [sys.executable, WORKER, family, "--seed", str(seed), *flags]
-
-
-def _worker_env() -> dict:
+def _worker(family: str, seed: int, smoke: bool, traced: bool) -> dict:
+    """Run one pass in a fresh process and return its result line."""
     src = os.path.join(ROOT, "src")
     path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-
-
-class Worker:
-    """One family pass in its own process, advanced one unit per request."""
-
-    def __init__(self, family: str, seed: int, smoke: bool, traced: bool):
-        self.family = family
-        self.proc = subprocess.Popen(_worker_argv(family, seed, smoke, traced), cwd=ROOT,
-                                     env=_worker_env(), stdin=subprocess.PIPE,
-                                     stdout=subprocess.PIPE, text=True)
-        tag, setup_s = self._reply().split()
-        if tag != "ready":
-            self.close()
-            raise BenchError(f"{family} worker: unexpected greeting {tag!r}")
-        self.setup_s = float(setup_s)
-
-    def _reply(self) -> str:
-        ready, _, _ = select.select([self.proc.stdout], [], [], WORKER_TIMEOUT_S)
-        line = self.proc.stdout.readline() if ready else ""
-        if not line:
-            self.close()
-            raise BenchError(f"{self.family} worker stopped without a reply "
-                             f"(exit code {self.proc.returncode})")
-        return line
-
-    def _request(self, command: str) -> str:
-        try:
-            self.proc.stdin.write(command + "\n")
-            self.proc.stdin.flush()
-        except OSError as exc:
-            self.close()
-            raise BenchError(f"{self.family} worker is gone: {exc}") from exc
-        return self._reply()
-
-    def step(self) -> dict | None:
-        """Run one unit; the pass result once the last unit has run."""
-        line = self._request("go")
-        return self._finish(line) if line.startswith("{") else None
-
-    def end(self) -> dict:
-        """The result of the units run so far."""
-        return self._finish(self._request("end"))
-
-    def _finish(self, line: str) -> dict:
-        result = json.loads(line)
-        result["setup_s"] = self.setup_s
-        self.proc.stdin.close()
-        self.proc.wait(timeout=WORKER_TIMEOUT_S)
-        return result
-
-    def close(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-        self.proc.wait()
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = [sys.executable, WORKER, family, "--seed", str(seed),
+            *["--smoke"] * smoke, *["--trace"] * traced]
+    try:
+        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+                              timeout=WORKER_TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:
+        raise BenchError(f"{family} worker took over {WORKER_TIMEOUT_S} s") from exc
+    if proc.returncode != 0:
+        raise BenchError(f"{family} worker failed with exit code {proc.returncode}:\n"
+                         f"{proc.stderr[-3000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def schedule(home: str, seed: int, seconds: float, traced: bool, smoke: bool) -> dict:
-    """Interleave the passes until ``seconds`` have passed and every slot
-    (family, traced) has one complete pass; return the results per slot."""
+    """Run passes one process after another and return their results per
+    slot (family, traced).  Every slot runs one pass first; then each pass
+    goes to the slot furthest below its share of the time so far, among the
+    slots whose next pass, as long as their last, would end within
+    ``seconds``."""
     home_slots = [(home, False)] + [(home, True)] * traced
     probe_slots = [(f, traced) for f in FAMILIES if f != home]
-    results: dict[tuple, list] = {slot: [] for slot in home_slots + probe_slots}
-    busy = dict.fromkeys(results, 0.0)
-    live: dict[tuple, Worker] = {}
+    share = {slot: HOME_SHARE / len(home_slots) for slot in home_slots}
+    share.update((slot, (1 - HOME_SHARE) / len(probe_slots)) for slot in probe_slots)
+    results: dict[tuple, list] = {slot: [] for slot in share}
+    busy = dict.fromkeys(share, 0.0)
+    last: dict[tuple, float] = {}
     start = clock()
-
-    def complete(slot) -> bool:
-        return any(r["complete"] for r in results[slot])
-
-    def pick():
+    while True:
         elapsed = clock() - start
-        if elapsed >= seconds:
-            pending = [slot for slot in results if not complete(slot)]
-            return pending[0] if pending else None
-        home_slot = home_slots[0]
-        if elapsed >= seconds / 2 and complete(home_slots[0]):
-            home_slot = home_slots[-1]  # the traced half of a --trace 1 run
-        probe_busy = sum(busy[s] for s in probe_slots)
-        if probe_busy < PROBE_SHARE * sum(busy.values()):
-            return min(probe_slots, key=busy.get)
-        return home_slot
-
-    try:
-        while (slot := pick()) is not None:
-            if clock() - start > RUN_CAP_S:
-                raise BenchError(f"passes unfinished after {RUN_CAP_S} s")
-            if slot not in live:
-                live[slot] = Worker(slot[0], seed, smoke or slot[0] != home, slot[1])
-            t0 = clock()
-            result = live[slot].step()
-            busy[slot] += clock() - t0
-            if result is not None:
-                results[slot].append(result)
-                del live[slot]
-        for slot, worker in list(live.items()):
-            results[slot].append(worker.end())
-            del live[slot]
-    finally:
-        for worker in live.values():
-            worker.close()
-    return results
+        if elapsed > RUN_CAP_S:
+            raise BenchError(f"the passes did not end within {RUN_CAP_S} s")
+        todo = ([slot for slot in share if not results[slot]]
+                or [slot for slot in share if elapsed + last[slot] <= seconds])
+        if not todo:
+            return results
+        slot = min(todo, key=lambda s: busy[s] / share[s])
+        t0 = clock()
+        results[slot].append(_worker(slot[0], seed, smoke or slot[0] != home, slot[1]))
+        last[slot] = clock() - t0
+        busy[slot] += last[slot]
 
 
 def environment(seed: int) -> dict:
     """The environment block; this first import also compiles the bytecode."""
-    proc = subprocess.run(_worker_argv("env", seed, False, False), cwd=ROOT, env=_worker_env(),
-                          capture_output=True, text=True, timeout=WORKER_TIMEOUT_S)
-    if proc.returncode != 0:
-        raise BenchError(f"environment probe failed:\n{proc.stderr[-3000:]}")
-    return json.loads(proc.stdout)
+    return _worker("env", seed, False, False)
 
 
 def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=FAMILIES, required=True)
+    parser.add_argument("--workload", choices=[w["name"] for w in spec["workloads"]], required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--smoke", action="store_true", help="one smoke-size pass of each family")
+    parser.add_argument("--smoke", action="store_true", help="one pass of every family at smoke size")
     args = parser.parse_args(argv)
 
     if not os.path.isfile(os.path.join(ROOT, "src", "gsvdist", "__init__.py")):
         print(f"error: no gsvdist sources under {os.path.join(ROOT, 'src')}", file=sys.stderr)
         return 2
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
     run_start = clock()
     home, traced = args.workload, bool(args.trace)
     try:
@@ -244,8 +175,7 @@ def main(argv=None) -> int:
           f"{clock() - run_start:.1f} s")
     for (family, is_traced), passes in results.items():
         group = summary.SAMPLE_GROUP[family]
-        print(f"passes {family}{' traced' if is_traced else ''}: "
-              f"{sum(r['complete'] for r in passes)} complete of {len(passes)}, "
+        print(f"passes {family}{' traced' if is_traced else ''}: {len(passes)}, "
               f"{len(summary.items(passes, group))} items of {group}")
     print(f"setup samples: {len(every)} worker imports")
     for name, metric in metrics.items():

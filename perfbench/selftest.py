@@ -8,7 +8,7 @@ contract's keys, every metric named there with its unit and a finite
 value, ``correct`` with no failed operation and no rejected verdict.  Then
 checks that a directory holding only ``BENCHMARK.json`` and the benchmark's
 own files is refused with a non-zero exit and no result line.  Takes about
-three minutes; exits non-zero at the first problem.
+a minute; exits non-zero when any check fails.
 """
 
 from __future__ import annotations

@@ -4,12 +4,8 @@ Every sample is keyed by an item (an experiment, a triple, one call of one
 pair, a command), and passes repeat the same items on the same inputs at
 different moments of the run.  An item's value is the median of its
 repeats, which ignores the repeat that one long stall of a shared
-machine hit (on a shared 2-core machine, over ten seeds, the medians kept
-every spread below 0.14 where the mean of the repeats reached 0.37 and
-their minimum 0.33).  The
-metrics are medians and percentiles over items, and a pass cut short
-still adds repeats without biasing the mix of items.  Pure Python: the
-orchestrator does not import numpy or gsvdist.
+machine hit.  The metrics are medians and percentiles over items.  Pure
+Python: the orchestrator does not import numpy or gsvdist.
 """
 
 from __future__ import annotations
@@ -36,10 +32,8 @@ def items(passes: list[dict], group: str) -> dict[str, float]:
 
 def wall_s(passes: list[dict]) -> float:
     """Operation time of one whole pass: the sum over units of each unit's
-    median over the passes that ran it."""
-    units = max(len(p["unit_s"]) for p in passes)
-    return sum(statistics.median(p["unit_s"][i] for p in passes if len(p["unit_s"]) > i)
-               for i in range(units))
+    median over the passes."""
+    return sum(map(statistics.median, zip(*(p["unit_s"] for p in passes))))
 
 
 def _verify(passes):
@@ -75,9 +69,9 @@ FAMILY_METRICS = {"verify": _verify, "laws": _laws, "pairs": _pairs, "cli": _cli
 
 
 def layer_metrics(passes: list[dict]) -> dict[str, float]:
-    """Median over complete traced passes of each per-layer metric."""
-    complete = [p["layer"] for p in passes if p["complete"]]
-    return {name: statistics.median(layer[name] for layer in complete) for name in complete[0]}
+    """Median over traced passes of each per-layer metric."""
+    layers = [p["layer"] for p in passes]
+    return {name: statistics.median(layer[name] for layer in layers) for name in layers[0]}
 
 
 # the items each family's percentiles are taken over, for the sample counts

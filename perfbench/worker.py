@@ -5,12 +5,9 @@ Usage: python perfbench/worker.py {verify,laws,pairs,cli,env} --seed N
 
 ``import gsvdist`` is timed first, before anything else loads numpy or
 scipy, so ``setup_s`` is a cold-process import.  ``env`` prints the
-environment block and exits.  Otherwise the worker prints
-``ready <setup_s>`` and then reads one command a line from
-standard input: ``go`` runs the next unit and answers ``unit``, or the
-pass result as one JSON line after the last unit; ``end`` answers the
-result of the units run so far.  A complete traced pass writes its spans
-to ``.perfbench_out/spans-<family>.json``.
+environment block and exits.  Otherwise the worker runs every unit of the
+pass and prints the pass result, with ``setup_s``, as one JSON line.  A
+traced pass writes its spans to ``.perfbench_out/spans-<family>.json``.
 """
 
 import time
@@ -25,7 +22,6 @@ import json  # noqa: E402
 import os  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
-import sys  # noqa: E402
 
 import numpy  # noqa: E402
 import scipy  # noqa: E402
@@ -87,31 +83,13 @@ def main() -> None:
     if args.trace:
         install(tracer)
     bench_pass = families.FAMILIES[args.family](args.seed, args.smoke, tracer)
-    units = bench_pass.units()
-    _say(f"ready {SETUP_S!r}")
-    done = 0
-    while True:
-        command = sys.stdin.readline().strip()
-        if command == "go":
-            units[done]()
-            done += 1
-            if done < len(units):
-                _say("unit")
-                continue
-        elif command != "end":
-            raise SystemExit(f"unknown command {command!r}")
-        complete = done == len(units)
-        result = bench_pass.result(complete)
-        if complete and args.trace:
-            os.makedirs(families.OUT_DIR, exist_ok=True)
-            tracer.dump(os.path.join(families.OUT_DIR, f"spans-{args.family}.json"))
-        _say(json.dumps(result))
-        return
-
-
-def _say(line: str) -> None:
-    sys.stdout.write(line + "\n")
-    sys.stdout.flush()
+    for unit in bench_pass.units():
+        unit()
+    result = bench_pass.result()
+    if args.trace:
+        os.makedirs(families.OUT_DIR, exist_ok=True)
+        tracer.dump(os.path.join(families.OUT_DIR, f"spans-{args.family}.json"))
+    print(json.dumps({"setup_s": SETUP_S, **result}))
 
 
 if __name__ == "__main__":
