@@ -234,7 +234,6 @@ class VerifyPass(Pass):
 # the CLI default grid
 LAW_GRID = np.geomspace(1e-3, 1e3, 200)
 LAW_ANCHORS = {(1, 1, 1): 1.0, (2, 1, 2): 2.0, (2, 2, 2): 6.0}
-LAW_UNIT_TRIPLES = 11
 # warm evaluation on a large grid: one triple each of small, middle and
 # largest order l in the sweep
 BIG_TRIPLES = {False: ((2, 2, 2), (3, 4, 6), (6, 6, 8)), True: ((2, 2, 2), (3, 4, 5), (4, 4, 5))}
@@ -273,13 +272,11 @@ def _table_problem(params, pdf, cdf, recip, integral) -> str | None:
 
 class LawsPass(Pass):
     def units(self):
-        triples = law_triples(self.smoke)
-        groups = [triples[i:i + LAW_UNIT_TRIPLES] for i in range(0, len(triples), LAW_UNIT_TRIPLES)]
         rng = np.random.default_rng(self.seed)
         self.big = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), BIG_POINTS[self.smoke]))
         # the anchors run after the sweep: their pdf call builds the (2,2,2)
         # table, which the sweep must find cold
-        return ([lambda grp=grp: self._triples(grp) for grp in groups]
+        return ([lambda t=t: self._triple(t) for t in law_triples(self.smoke)]
                 + [self._anchors]
                 + [lambda t=t: self._big_grid(t) for t in BIG_TRIPLES[self.smoke]])
 
@@ -296,33 +293,30 @@ class LawsPass(Pass):
         if abs(pdf_one - 0.125) > 1e-12:
             self.fail("pdf(1) at (2,2,2)", repr(pdf_one))
 
-    def _triples(self, triples) -> None:
-        busy = 0.0
-        for triple in triples:
-            params = g.law_params(*triple)
-            self.attempted += 3
-            t0 = clock()
-            try:
-                with self.tracer.span("bench.cold"):
-                    pdf, cdf, recip = _law_tables(params)
-                t1 = clock()
-                with self.tracer.span("bench.warm"):
-                    _law_tables(params)
-                t2 = clock()
-                with self.tracer.span("bench.quad"):
-                    integral = g.quadrature_integrate(lambda w: g.marginal_pdf(params, w), 1e-8)
-                t3 = clock()
-            except Exception as exc:  # counted as a failed operation
-                busy += clock() - t0
-                self.fail(f"triple {triple}", repr(exc))
-                continue
-            busy += t3 - t0
-            self.record("cold_s", triple, t1 - t0)
-            self.record("quad_s", triple, t3 - t2)
-            problem = _table_problem(params, pdf, cdf, recip, integral)
-            if problem:
-                self.fail(f"triple {triple}", problem)
-        self.unit_s.append(busy)
+    def _triple(self, triple) -> None:
+        params = g.law_params(*triple)
+        self.attempted += 3
+        t0 = clock()
+        try:
+            with self.tracer.span("bench.cold"):
+                pdf, cdf, recip = _law_tables(params)
+            t1 = clock()
+            with self.tracer.span("bench.warm"):
+                _law_tables(params)
+            t2 = clock()
+            with self.tracer.span("bench.quad"):
+                integral = g.quadrature_integrate(lambda w: g.marginal_pdf(params, w), 1e-8)
+            t3 = clock()
+        except Exception as exc:  # counted as a failed operation
+            self.unit_s.append(clock() - t0)
+            self.fail(f"triple {triple}", repr(exc))
+            return
+        self.unit_s.append(t3 - t0)
+        self.record("cold_s", triple, t1 - t0)
+        self.record("quad_s", triple, t3 - t2)
+        problem = _table_problem(params, pdf, cdf, recip, integral)
+        if problem:
+            self.fail(f"triple {triple}", problem)
 
     def _big_grid(self, triple) -> None:
         params = g.law_params(*triple)

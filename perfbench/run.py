@@ -12,17 +12,15 @@ when ``src/gsvdist`` is missing.
 Each workload is named after the family of operations it measures
 (``families.py``).  Every pass of a family runs in a fresh worker process
 (``worker.py``) whose ``import gsvdist`` time is one ``setup_s`` sample.
-The named family runs full-size passes and the other three smoke-size
-passes, so that every run reports every metric of ``BENCHMARK.json``.  For
-up to ``--seconds`` the passes run one process after another, each time for
-the family furthest below its share of the time (60 % for the named
-family), so that a family with short passes repeats them more often and
-the repeats of every metric are spread over the whole run.
+The passes run one process after another for up to ``--seconds``.
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs the named
-family both untraced and traced, traces the smoke passes, and reports the
-per-layer metrics and the tracing overhead.  ``--smoke`` runs one pass of
-every family at smoke size.
+``--trace 0`` runs only full-size passes of the named family and reports
+the end-to-end metrics, ``setup_s`` and ``wall_s``.  ``--trace 1`` runs
+the named family both untraced and traced, beside traced smoke-size
+passes of the other three families, each pass going to the slot furthest
+below its share of the time (60 % for the named family); it reports the
+per-layer metrics, every family's own metrics and the tracing overhead.
+``--smoke`` runs one pass of each slot at smoke size.
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  The lines before it give the
@@ -47,7 +45,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKER = os.path.join(HERE, "worker.py")
 FAMILIES = ("verify", "laws", "pairs", "cli")
-# share of the run that goes to the named family's passes; the other
+# share of a traced run that goes to the named family's passes; the other
 # families' smoke passes share the rest equally
 HOME_SHARE = 0.6
 # no pass starts after this; a run must end well within 180 s
@@ -84,10 +82,12 @@ def schedule(home: str, seed: int, seconds: float, traced: bool, smoke: bool) ->
     goes to the slot furthest below its share of the time so far, among the
     slots whose next pass, as long as their last, would end within
     ``seconds``."""
-    home_slots = [(home, False)] + [(home, True)] * traced
-    probe_slots = [(f, traced) for f in FAMILIES if f != home]
-    share = {slot: HOME_SHARE / len(home_slots) for slot in home_slots}
-    share.update((slot, (1 - HOME_SHARE) / len(probe_slots)) for slot in probe_slots)
+    if traced:
+        probe_slots = [(f, True) for f in FAMILIES if f != home]
+        share = {(home, False): HOME_SHARE / 2, (home, True): HOME_SHARE / 2}
+        share.update((slot, (1 - HOME_SHARE) / len(probe_slots)) for slot in probe_slots)
+    else:
+        share = {(home, False): 1.0}
     results: dict[tuple, list] = {slot: [] for slot in share}
     busy = dict.fromkeys(share, 0.0)
     last: dict[tuple, float] = {}
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--smoke", action="store_true", help="one pass of every family at smoke size")
+    parser.add_argument("--smoke", action="store_true", help="one pass of each slot at smoke size")
     args = parser.parse_args(argv)
 
     if not os.path.isfile(os.path.join(ROOT, "src", "gsvdist", "__init__.py")):
@@ -154,12 +154,14 @@ def main(argv=None) -> int:
         values = {}
         for family in FAMILIES:
             values.update(summary.layer_metrics(results[(family, True)]))
+            # the family's own metrics: the named family's from its untraced
+            # passes, the others' from their traced smoke passes
+            passes = results.get((family, False)) or results[(family, True)]
+            values.update(summary.FAMILY_METRICS[family](passes))
         values["tracing.overhead_s"] = summary.wall_s(results[(home, True)]) - home_wall
         wanted = spec["per_layer"]
     else:
         values = {"setup_s": statistics.median(r["setup_s"] for r in every), "wall_s": home_wall}
-        for family in FAMILIES:
-            values.update(summary.FAMILY_METRICS[family](results[(family, False)]))
         wanted = spec["end_to_end"]
 
     metrics = {}
