@@ -31,7 +31,7 @@ class PoleError(GsvdistError, ValueError):
 
 
 class ComplexityError(GsvdistError, ValueError):
-    """Requested computation exceeds the factorial-enumeration cap."""
+    """Requested computation lies beyond the range its accuracy is verified for."""
 
 
 class ConsistencyError(GsvdistError, ArithmeticError):

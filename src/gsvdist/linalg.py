@@ -1,9 +1,8 @@
-"""Dense decomposition primitives behind explicit contracts.
+"""Dense linear-algebra helpers behind explicit contracts.
 
-Thin wrappers over LAPACK (through numpy/scipy): reconstruction residuals
-are bounded by ``1e-10 * (1 + ||input||_F)``, singular values come back
-nonnegative and descending, and a non-positive-definite left side of the
-Hermitian solve raises instead of returning garbage.
+A non-positive-definite left side of the Hermitian solve raises instead of
+returning garbage, and orthonormal completion refuses to return a
+collapsed column.
 """
 
 from __future__ import annotations
@@ -23,24 +22,6 @@ def _as_matrix(mat) -> np.ndarray:
     return a.astype(np.complex128, copy=False)
 
 
-def svd(mat, full_matrices: bool = False):
-    """SVD ``mat = u @ diag(s) @ vh`` with ``s`` descending."""
-    return np.linalg.svd(_as_matrix(mat), full_matrices=full_matrices)
-
-
-def singular_values(mat) -> np.ndarray:
-    """Singular values only, descending."""
-    return np.linalg.svd(_as_matrix(mat), compute_uv=False)
-
-
-def hermitian_eig(mat):
-    """Eigendecomposition of a Hermitian matrix: (ascending values, vectors)."""
-    a = _as_matrix(mat)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"hermitian_eig needs a square matrix, got {a.shape}")
-    return np.linalg.eigh(a)
-
-
 def solve_hermitian_posdef(h, rhs) -> np.ndarray:
     """Solve ``h @ x = rhs`` for Hermitian positive definite ``h``."""
     a = _as_matrix(h)
@@ -50,18 +31,6 @@ def solve_hermitian_posdef(h, rhs) -> np.ndarray:
     except scipy.linalg.LinAlgError as exc:
         raise DecompositionError(f"matrix is not positive definite: {exc}") from exc
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
-
-
-def qr(mat):
-    """Reduced QR factorization: (orthonormal columns, upper triangular)."""
-    return np.linalg.qr(_as_matrix(mat))
-
-
-def unitarity_defect(u) -> float:
-    """Frobenius distance of ``u^H u`` from the identity."""
-    a = np.asarray(u)
-    eye = np.eye(a.shape[1])
-    return float(np.linalg.norm(a.conj().T @ a - eye))
 
 
 def orthonormal_completion(cols: np.ndarray, dim: int) -> np.ndarray:

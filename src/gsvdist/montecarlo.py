@@ -35,7 +35,7 @@ from .engine import (
     expected_q_power,
     reduced_dims,
 )
-from .ensembles import RngStream
+from .ensembles import RngStream, sample_ginibre, sample_haar_unitary
 from .errors import DegeneracyError, DimensionError, RegimeError
 from .laws import LawParams, law_params, marginal_cdf, marginal_pdf
 from .quadrature import quadrature_integrate
@@ -165,20 +165,6 @@ def _run_batch(
     )
 
 
-def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
-    z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    return z * np.sqrt(0.5)
-
-
-def _haar_stack(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    z = _complex_normal(gen, (count, dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.einsum("...ii->...i", r)
-    mag = np.abs(d)
-    phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
-    return q * phase[..., None, :]
-
-
 def _interior_rows(sv: np.ndarray, r: int, s: int):
     """Rows whose descending cosine values split into exactly r ones, s interior."""
     ones = np.count_nonzero(sv > 1.0 - ONE_TOL, axis=1)
@@ -200,8 +186,8 @@ def sample_w_gsvd(
     k, r, s = st.k, st.r, st.s
 
     def draw(gen, want):
-        a = _complex_normal(gen, (want, m, n))
-        c = _complex_normal(gen, (want, q, n))
+        a = sample_ginibre(m, n, gen, count=want)
+        c = sample_ginibre(q, n, gen, count=want)
         b = np.concatenate([a, c], axis=1)
         u, sb, _ = np.linalg.svd(b, full_matrices=False)
         rank_ok = sb[:, k - 1] > RANK_TOL * sb[:, 0]
@@ -227,8 +213,8 @@ def sample_w_fmatrix(
     l = rdims.l
 
     def draw(gen, want):
-        x = _complex_normal(gen, (want, mp, p))
-        y = _complex_normal(gen, (want, mp, npr))
+        x = sample_ginibre(mp, p, gen, count=want)
+        y = sample_ginibre(mp, npr, gen, count=want)
         gram = y @ y.conj().transpose(0, 2, 1)
         try:
             chol = np.linalg.cholesky(gram)
@@ -276,7 +262,7 @@ def sample_alpha_haar(
     dim = m + q
 
     def draw(gen, want):
-        u = _haar_stack(gen, want, dim)
+        u = sample_haar_unitary(dim, gen, count=want)
         if block == "upper_left":
             sv = np.linalg.svd(u[:, :m, :n], compute_uv=False)
             alphas, bad = _interior_rows(sv, r, s)
@@ -302,8 +288,8 @@ def sample_q_power(
     k = min(m + q, n)
 
     def draw(gen, want):
-        a = _complex_normal(gen, (want, m, n))
-        c = _complex_normal(gen, (want, q, n))
+        a = sample_ginibre(m, n, gen, count=want)
+        c = sample_ginibre(q, n, gen, count=want)
         b = np.concatenate([a, c], axis=1)
         if n <= m + q:
             gram = b.conj().transpose(0, 2, 1) @ b

