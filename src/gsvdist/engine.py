@@ -8,6 +8,12 @@ and a complementary block.  The squared generalized singular values are
 ``w_i = alpha_i^2 / beta_i^2``; their count ``s`` and the block sizes are pure
 functions of the dimension triple.
 
+The spectrum comes from the QR-then-CS route: whenever s >= 1 the stack
+``[a; c]`` has full column rank, so the Q factor of its Householder QR spans
+its left singular subspace, and the alphas are singular values of Q's top m
+rows.  Single-pair functions are the batch-of-one case of the private
+batched kernels that the samplers call.
+
 The standing assumption is ``q >= m`` (callers with a short second factor
 should swap arguments themselves; there is no silent reciprocal mapping).
 """
@@ -186,23 +192,24 @@ def _pair_dims(a: np.ndarray, c: np.ndarray) -> ProblemDims:
     return ProblemDims(m=a.shape[0], q=c.shape[0], n=a.shape[1])
 
 
-def _classified_interior(sv: np.ndarray, st: GsvdStructure) -> np.ndarray:
-    """Extract the s interior values; counts must match the structure.
+def _classify(sv: np.ndarray, st: GsvdStructure):
+    """Interior values and validity of descending cosine rows (last axis).
 
-    Values inside the dead zones are never reassigned: a count mismatch is
-    a loud failure, since Gaussian inputs reach it with probability ~0 and
-    silent repair would bias downstream statistics.
+    A row is valid when exactly r values lie above ``1 - ONE_TOL`` and none
+    below ``ZERO_TOL``; the s values between them are the alphas.  Values
+    inside the dead zones are never reassigned: Gaussian inputs reach them
+    with probability ~0, and silent repair would bias downstream statistics.
     """
-    n_one = int(np.count_nonzero(sv > 1.0 - ONE_TOL))
-    n_zero = int(np.count_nonzero(sv < ZERO_TOL))
-    n_interior = sv.size - n_one - n_zero
-    if n_one != st.r or n_zero != 0 or n_interior != st.s:
-        raise DegeneracyError(
-            f"singular value classification mismatch: expected {st.r} ones and "
-            f"{st.s} interior values, found {n_one} ones, {n_interior} interior, "
-            f"{n_zero} zeros"
-        )
-    return sv[st.r : st.r + st.s]
+    ones = np.count_nonzero(sv > 1.0 - ONE_TOL, axis=-1)
+    zeros = np.count_nonzero(sv < ZERO_TOL, axis=-1)
+    return sv[..., st.r : st.r + st.s], (ones == st.r) & (zeros == 0)
+
+
+def _mismatch(st: GsvdStructure) -> DegeneracyError:
+    return DegeneracyError(
+        f"singular value classification mismatch: expected exactly {st.r} ones, "
+        f"{st.s} interior values and no zeros"
+    )
 
 
 def _spectrum_from_alphas(alphas: np.ndarray) -> GsvdSpectrum:
@@ -212,26 +219,29 @@ def _spectrum_from_alphas(alphas: np.ndarray) -> GsvdSpectrum:
     return GsvdSpectrum(alphas=alphas, betas=betas, w=w)
 
 
-def _stacked_left_block(a: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
-    """First m rows of the k leading left singular vectors of the stack."""
-    b = np.vstack([np.asarray(a, np.complex128), np.asarray(c, np.complex128)])
-    p, sb, _ = np.linalg.svd(b, full_matrices=False)
-    if sb[k - 1] <= RANK_TOL * sb[0]:
-        raise DecompositionError(
-            f"stacked pair is rank deficient: sigma_{k} / sigma_1 = "
-            f"{sb[k - 1] / sb[0]:.3e}"
-        )
-    return p[: a.shape[0], :k]
+def _stack_cosines(b: np.ndarray, m: int, st: GsvdStructure):
+    """QR-then-CS reduction of a batch of stacks ``b``, shape (count, m+q, n).
+
+    Returns the s interior cosines per row, the validity mask, and the rank
+    mask it includes.  The rank test reads R's diagonal: as ``sigma_k <=
+    min|R_ii|`` and ``max|R_ii| <= sigma_1``, it rejects only stacks whose
+    ``sigma_k / sigma_1`` is below ``RANK_TOL`` as well.
+    """
+    qf, rf = np.linalg.qr(b)
+    diag = np.abs(np.diagonal(rf, axis1=-2, axis2=-1))
+    full_rank = diag.min(axis=-1) > RANK_TOL * diag.max(axis=-1)
+    alphas, classified = _classify(np.linalg.svd(qf[:, :m, :], compute_uv=False), st)
+    return alphas, full_rank & classified, full_rank
 
 
 def gsvd_spectrum(a, c) -> GsvdSpectrum:
-    """Squared generalized singular values via the stacked-SVD path.
+    """Squared generalized singular values via the QR-then-CS route.
 
-    Algorithm: SVD the (m+q) x n stack, keep the k leading left singular
-    vectors, and SVD their top m rows.  Those singular values split into
-    exactly r ones and s interior values; the interior values are the
-    alphas, and ``w = alpha^2 / (1 - alpha^2)``.  Valid in every regime
-    with ``s >= 1``.
+    Algorithm (Paige & Saunders 1981, Van Loan 1985): Householder QR of the
+    (m+q) x n stack, which has full column rank k = n whenever ``s >= 1``,
+    then the SVD of the top m rows of Q.  Those cosines split into exactly
+    r ones and s interior values; the interior values are the alphas, and
+    ``w = alpha^2 / (1 - alpha^2)``.
     """
     dims = _pair_dims(a, c)
     st = compute_structure(dims)
@@ -240,10 +250,15 @@ def gsvd_spectrum(a, c) -> GsvdSpectrum:
             f"dims {dims.as_tuple()} are in the {st.regime.value} regime: "
             "s = 0, the pair has no random spectrum"
         )
-    p1 = _stacked_left_block(a, c, st.k)
-    sv = np.linalg.svd(p1, compute_uv=False)
-    alphas = _classified_interior(sv, st)
-    return _spectrum_from_alphas(alphas)
+    b = np.vstack([np.asarray(a, np.complex128), np.asarray(c, np.complex128)])
+    alphas, ok, full_rank = _stack_cosines(b[None], dims.m, st)
+    if not full_rank[0]:
+        raise DecompositionError(
+            f"stacked pair is rank deficient: min|R_ii| / max|R_ii| <= {RANK_TOL:g}"
+        )
+    if not ok[0]:
+        raise _mismatch(st)
+    return _spectrum_from_alphas(alphas[0])
 
 
 def gsvd_spectrum_direct(a, c) -> GsvdSpectrum:
@@ -252,7 +267,7 @@ def gsvd_spectrum_direct(a, c) -> GsvdSpectrum:
     Only valid when ``q >= n`` (so the Gram matrix of ``c`` is invertible):
     the w values are the nonzero eigenvalues of ``a (c^H c)^{-1} a^H``,
     computed by a Hermitian positive-definite solve followed by an
-    eigendecomposition.  Kept deliberately separate from the stacked-SVD
+    eigendecomposition.  Kept deliberately separate from the QR-then-CS
     path so the two can cross-check each other.
     """
     dims = _pair_dims(a, c)
@@ -304,7 +319,8 @@ def gsvd_factorize(a, c) -> GsvdFactors:
     sigma_b = sb[:k]
 
     u_cs, sv1, wh = np.linalg.svd(pk[:m, :], full_matrices=True)
-    _classified_interior(sv1, st)  # count check only; values reused below
+    if not _classify(sv1, st)[1]:  # count check only; values reused below
+        raise _mismatch(st)
     wmat = wh.conj().T  # k x k
 
     # image of the bottom block under the middle unitary: its columns are
@@ -371,6 +387,19 @@ def _validate_factors(f: GsvdFactors, a: np.ndarray, c: np.ndarray) -> None:
             )
 
 
+def _stack_power(b: np.ndarray):
+    """Right-factor power of a batch of stacks ``b``, shape (count, m+q, n).
+
+    Returns, per row, the sum of reciprocal eigenvalues of the smaller of the
+    two Gram products, and the mask of rows with ``lambda_min > RANK_TOL *
+    lambda_max``.
+    """
+    bh = b.conj().transpose(0, 2, 1)
+    evals = np.linalg.eigvalsh(bh @ b if b.shape[2] <= b.shape[1] else b @ bh)
+    ok = evals[:, 0] > RANK_TOL * evals[:, -1]
+    return np.sum(1.0 / np.where(ok[:, None], evals, 1.0), axis=1), ok
+
+
 def q_power_trace(a, c) -> float:
     """Power of the shared right factor: sum of reciprocal stack eigenvalues.
 
@@ -384,16 +413,12 @@ def q_power_trace(a, c) -> float:
             "q_power_trace requires m + q != n (the square-stack boundary)"
         )
     b = np.vstack([np.asarray(a, np.complex128), np.asarray(c, np.complex128)])
-    if b.shape[1] <= b.shape[0]:
-        gram = b.conj().T @ b
-    else:
-        gram = b @ b.conj().T
-    evals = np.linalg.eigvalsh(gram)
-    if evals[0] <= RANK_TOL * evals[-1]:
+    totals, ok = _stack_power(b[None])
+    if not ok[0]:
         raise SingularityError(
-            f"near-singular stack: lambda_min/lambda_max = {evals[0] / evals[-1]:.3e}"
+            f"near-singular stack: lambda_min <= {RANK_TOL:g} * lambda_max"
         )
-    return float(np.sum(1.0 / evals))
+    return float(totals[0])
 
 
 def expected_q_power(dims: ProblemDims) -> float:

@@ -95,8 +95,13 @@ def sample_ginibre(
         raise DimensionError(f"count must be >= 1, got {count}")
     gen = as_generator(rng)
     shape = (rows, cols) if count is None else (count, rows, cols)
-    z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    return z * np.sqrt(0.5)
+    # all real parts, then all imaginary parts, in one buffer: the same
+    # stream order as two draws, without complex temporaries
+    parts = gen.standard_normal((2, *shape))
+    z = np.empty(shape, dtype=np.complex128)
+    np.multiply(parts[0], np.sqrt(0.5), out=z.real)
+    np.multiply(parts[1], np.sqrt(0.5), out=z.imag)
+    return z
 
 
 def sample_haar_unitary(

@@ -10,15 +10,17 @@ and a mean test checks the closed-form power of the shared right factor.
 Batches are drawn in worker chunks; chunk ``i`` uses substream ``i`` of the
 batch's stream, and results merge by concatenation in chunk order, so a
 report is a pure function of (seed, worker count).  Draws that fail the
-singular-value classification are discarded and counted; a failure rate
-above 0.1% aborts the batch rather than risk biased censoring.
+rank test, the singular-value classification or a Cholesky factorization
+are discarded one by one and counted, and each check reports the count of
+its batches as ``discarded``; a failure rate above 0.1% aborts the batch
+rather than risk biased censoring.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from math import sqrt
 
@@ -31,6 +33,9 @@ from .engine import (
     ProblemDims,
     ReducedDims,
     Regime,
+    _classify,
+    _stack_cosines,
+    _stack_power,
     compute_structure,
     expected_q_power,
     reduced_dims,
@@ -165,39 +170,25 @@ def _run_batch(
     )
 
 
-def _interior_rows(sv: np.ndarray, r: int, s: int):
-    """Rows whose descending cosine values split into exactly r ones, s interior."""
-    ones = np.count_nonzero(sv > 1.0 - ONE_TOL, axis=1)
-    zeros = np.count_nonzero(sv < ZERO_TOL, axis=1)
-    ok = (ones == r) & (zeros == 0)
-    return sv[ok][:, r : r + s], int(np.count_nonzero(~ok))
-
-
 def sample_w_gsvd(
     dims: ProblemDims, count: int, rng: RngStream, workers: int = 1
 ) -> SampleBatch:
-    """Spectrum draws from fresh Gaussian pairs via the stacked-SVD reduction."""
+    """Spectrum draws from fresh Gaussian pairs via the QR-then-CS kernel."""
     st = compute_structure(dims)
     if st.regime is Regime.DETERMINISTIC:
         raise RegimeError(
             f"dims {dims.as_tuple()} are deterministic (s = 0): nothing to sample"
         )
     m, q, n = dims.m, dims.q, dims.n
-    k, r, s = st.k, st.r, st.s
 
     def draw(gen, want):
         a = sample_ginibre(m, n, gen, count=want)
         c = sample_ginibre(q, n, gen, count=want)
-        b = np.concatenate([a, c], axis=1)
-        u, sb, _ = np.linalg.svd(b, full_matrices=False)
-        rank_ok = sb[:, k - 1] > RANK_TOL * sb[:, 0]
-        sv = np.linalg.svd(u[:, :m, :], compute_uv=False)
-        sv = sv[rank_ok]
-        alphas, bad = _interior_rows(sv, r, s)
-        w = alphas**2 / (1.0 - alphas**2)
-        return w, bad + int(np.count_nonzero(~rank_ok))
+        alphas, ok, _ = _stack_cosines(np.concatenate([a, c], axis=1), m, st)
+        alphas = alphas[ok]
+        return alphas**2 / (1.0 - alphas**2), int(np.count_nonzero(~ok))
 
-    return _run_batch(SamplerId.GSVD, dims.as_tuple(), s, draw, count, rng, workers)
+    return _run_batch(SamplerId.GSVD, dims.as_tuple(), st.s, draw, count, rng, workers)
 
 
 def sample_w_fmatrix(
@@ -208,6 +199,7 @@ def sample_w_fmatrix(
     Per draw: Gaussian ``x`` (m' x p) and ``y`` (m' x n'); the values are the
     ``l = min(p, m')`` nonzero eigenvalues of ``x^H (y y^H)^{-1} x``, formed
     through a Cholesky solve so the product is Hermitian by construction.
+    A draw whose ``y y^H`` is singular is discarded and counted on its own.
     """
     mp, p, npr = rdims.m_prime, rdims.p, rdims.n_prime
     l = rdims.l
@@ -219,14 +211,17 @@ def sample_w_fmatrix(
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            # a singular Gram matrix has probability zero; drop the block
-            return np.empty((0, l)), want
+            # a singular Gram matrix has probability zero; drop only its
+            # draws, keeping rows conditioned well enough for Cholesky
+            evals = np.linalg.eigvalsh(gram)
+            posdef = evals[:, 0] > RANK_TOL * evals[:, -1]
+            x, chol = x[posdef], np.linalg.cholesky(gram[posdef])
         z = np.linalg.solve(chol, x)
         ratio = z.conj().transpose(0, 2, 1) @ z
         evals = np.linalg.eigvalsh(ratio)
         w = evals[:, ::-1][:, :l]
         ok = np.all(w > 0.0, axis=1) & np.all(np.isfinite(w), axis=1)
-        return w[ok], int(np.count_nonzero(~ok))
+        return w[ok], want - int(np.count_nonzero(ok))
 
     return _run_batch(
         SamplerId.F_MATRIX, rdims.as_tuple(), l, draw, count, rng, workers
@@ -258,15 +253,13 @@ def sample_alpha_haar(
     if block not in ("upper_left", "lower_right"):
         raise ValueError(f"unknown block {block!r}")
     m, q, n = dims.m, dims.q, dims.n
-    r, s = st.r, st.s
     dim = m + q
 
     def draw(gen, want):
         u = sample_haar_unitary(dim, gen, count=want)
         if block == "upper_left":
-            sv = np.linalg.svd(u[:, :m, :n], compute_uv=False)
-            alphas, bad = _interior_rows(sv, r, s)
-            return alphas**2, bad
+            alphas, ok = _classify(np.linalg.svd(u[:, :m, :n], compute_uv=False), st)
+            return alphas[ok] ** 2, int(np.count_nonzero(~ok))
         blk = u[:, m:, n:]
         gram = blk.conj().transpose(0, 2, 1) @ blk
         evals = np.linalg.eigvalsh(gram)[:, ::-1]
@@ -274,7 +267,7 @@ def sample_alpha_haar(
         return evals[ok], int(np.count_nonzero(~ok))
 
     return _run_batch(
-        SamplerId.HAAR_BLOCK, dims.as_tuple(), s, draw, count, rng, workers
+        SamplerId.HAAR_BLOCK, dims.as_tuple(), st.s, draw, count, rng, workers
     )
 
 
@@ -285,37 +278,19 @@ def sample_q_power(
     m, q, n = dims.m, dims.q, dims.n
     if m + q == n:
         raise RegimeError("power sampling requires m + q != n")
-    k = min(m + q, n)
 
     def draw(gen, want):
         a = sample_ginibre(m, n, gen, count=want)
         c = sample_ginibre(q, n, gen, count=want)
-        b = np.concatenate([a, c], axis=1)
-        if n <= m + q:
-            gram = b.conj().transpose(0, 2, 1) @ b
-        else:
-            gram = b @ b.conj().transpose(0, 2, 1)
-        evals = np.linalg.eigvalsh(gram)
-        ok = evals[:, 0] > RANK_TOL * evals[:, -1]
-        totals = np.sum(1.0 / evals[ok], axis=1)[:, None]
-        return totals, int(np.count_nonzero(~ok))
+        totals, ok = _stack_power(np.concatenate([a, c], axis=1))
+        return totals[ok][:, None], int(np.count_nonzero(~ok))
 
     return _run_batch(SamplerId.Q_POWER, dims.as_tuple(), 1, draw, count, rng, workers)
 
 
 def alpha_sq_to_w(batch: SampleBatch) -> SampleBatch:
     """Map alpha^2 values to w = alpha^2 / (1 - alpha^2), keeping provenance."""
-    values = batch.values / (1.0 - batch.values)
-    return SampleBatch(
-        sampler_id=batch.sampler_id,
-        dims=batch.dims,
-        seed=batch.seed,
-        stream_index=batch.stream_index,
-        count=batch.count,
-        arity=batch.arity,
-        values=values,
-        failures=batch.failures,
-    )
+    return replace(batch, values=batch.values / (1.0 - batch.values))
 
 
 def scalar_samples(batch: SampleBatch) -> np.ndarray:
@@ -347,14 +322,7 @@ class KsReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "critical_value": self.critical_value,
-            "n1": self.n1,
-            "n2": self.n2,
-            "alpha_level": self.alpha_level,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -368,13 +336,7 @@ class MeanReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "target": self.target,
-            "z_score": self.z_score,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def ks_critical_constant(alpha_level: float) -> float:
@@ -481,6 +443,12 @@ class VerificationReport:
         return out
 
 
+def _check(kind: str, report: KsReport | MeanReport, *batches: SampleBatch) -> dict:
+    """A sampling check's payload: the test report and the draws it discarded."""
+    discarded = sum(batch.failures for batch in batches)
+    return {"kind": kind, **report.to_dict(), "discarded": discarded}
+
+
 _CALIBRATION_NOTE = (
     "statistical acceptance is asymptotic: the alpha level and sample count "
     "are artifact calibration choices, committed with the seed"
@@ -557,9 +525,8 @@ def run_experiment(
             batch_g = sample_w_gsvd(dims, samples, RngStream(seed, 0), workers)
             batch_f = sample_w_fmatrix(rd, samples, RngStream(seed, 1), workers)
             report = ks_two_sample(batch_g, batch_f, alpha_level)
-            checks.append(
-                ("gsvd_vs_ratio_ensemble", {"kind": "ks_two_sample", **report.to_dict()})
-            )
+            check = _check("ks_two_sample", report, batch_g, batch_f)
+            checks.append(("gsvd_vs_ratio_ensemble", check))
             dims_record.update(
                 {"m_prime": rd.m_prime, "p": rd.p, "n_prime": rd.n_prime}
             )
@@ -574,16 +541,12 @@ def run_experiment(
             batch_g = sample_w_gsvd(dims, samples, RngStream(seed, 0), workers)
             report_g = ks_one_sample(batch_g, params, alpha_level)
             checks.append(
-                ("gsvd_vs_marginal_cdf", {"kind": "ks_one_sample", **report_g.to_dict()})
+                ("gsvd_vs_marginal_cdf", _check("ks_one_sample", report_g, batch_g))
             )
             batch_f = sample_w_fmatrix(rd, samples, RngStream(seed, 1), workers)
             report_f = ks_one_sample(batch_f, params, alpha_level)
-            checks.append(
-                (
-                    "ratio_ensemble_vs_marginal_cdf",
-                    {"kind": "ks_one_sample", **report_f.to_dict()},
-                )
-            )
+            check = _check("ks_one_sample", report_f, batch_f)
+            checks.append(("ratio_ensemble_vs_marginal_cdf", check))
             dims_record.update(
                 {"m_prime": rd.m_prime, "p": rd.p, "n_prime": rd.n_prime}
             )
@@ -597,13 +560,11 @@ def run_experiment(
             )
             batch_g = sample_w_gsvd(dims, samples, RngStream(seed, 2), workers)
             report_chain = ks_two_sample(alpha_sq_to_w(batch_h), batch_g, alpha_level)
-            checks.append(
-                ("haar_truncation_vs_gsvd", {"kind": "ks_two_sample", **report_chain.to_dict()})
-            )
+            check = _check("ks_two_sample", report_chain, batch_h, batch_g)
+            checks.append(("haar_truncation_vs_gsvd", check))
             report_blocks = ks_two_sample(batch_h, batch_h2, alpha_level)
-            checks.append(
-                ("haar_block_equivalence", {"kind": "ks_two_sample", **report_blocks.to_dict()})
-            )
+            check = _check("ks_two_sample", report_blocks, batch_h, batch_h2)
+            checks.append(("haar_block_equivalence", check))
 
         elif experiment is Experiment.Q_POWER_MEAN:
             gap = abs(dims.m + dims.q - dims.n)
@@ -619,7 +580,7 @@ def run_experiment(
             target = expected_q_power(dims)
             batch = sample_q_power(dims, samples, RngStream(seed, 0), workers)
             report = mean_report(batch.values, target)
-            checks.append(("power_mean", {"kind": "mean", **report.to_dict()}))
+            checks.append(("power_mean", _check("mean", report, batch)))
 
         else:  # pragma: no cover - exhaustive enum
             raise RegimeError(f"unknown experiment {experiment}")

@@ -259,3 +259,31 @@ def test_criterion_11_report_determinism(tmp_path, capsys):
         ok &= outputs[0] == outputs[1]
     capsys.readouterr()
     _report("criterion 11 (report determinism)", ok, f"{len(runs)} experiments x 2 runs")
+
+
+def test_committed_seeds_discard_no_draw():
+    # every sampling run of criteria 4-8 and 11 at its committed seed: no
+    # draw fails the rank test, the classification or a Cholesky factor
+    runs = [
+        ("equivalence", (4, 5, 3), 20_000, 0, 1),
+        ("equivalence", (3, 4, 5), 20_000, 0, 1),
+        ("haar", (2, 3, 4), 20_000, 0, 1),
+        ("marginal", (2, 3, 2), 20_000, 0, 1),
+        ("qpower", (2, 2, 8), 100_000, 0, 1),
+        ("qpower", (3, 3, 2), 100_000, 0, 1),
+        ("equivalence", (2, 3, 2), 3_000, 11, 2),
+        ("marginal", (2, 3, 4), 3_000, 11, 1),
+        ("qpower", (2, 3, 9), 20_000, 11, 1),
+    ]
+    discarded = {}
+    for name, dims, samples, seed, workers in runs:
+        report = run_experiment(
+            name, dims=ProblemDims(*dims), samples=samples, seed=seed, workers=workers
+        )
+        for check, payload in report.checks:
+            discarded[f"{name} {dims} {check}"] = payload["discarded"]
+    _report(
+        "discarded draws at the committed seeds",
+        not any(discarded.values()),
+        f"{len(discarded)} checks, {sum(discarded.values())} draws discarded",
+    )

@@ -21,10 +21,13 @@ from gsvdist import (
     sample_ginibre,
     sample_haar_unitary,
 )
+from gsvdist.engine import _stack_cosines
 from gsvdist.errors import (
     DecompositionError,
+    DegeneracyError,
     DimensionError,
     RegimeError,
+    SingularityError,
     UndefinedExpectationError,
 )
 
@@ -170,6 +173,62 @@ def test_spectrum_rejects_rank_deficient_stack():
         gsvd_spectrum(b[:2], b[2:])
 
 
+def _known_pair(dims, alphas, gen):
+    # a = U sigma_a X^-1 and c = V sigma_c X^-1 with Haar U, V and X of
+    # condition number 10, so the generalized cosines are exactly `alphas`
+    m, q, n = dims
+    st_ = compute_structure(ProblemDims(*dims))
+    r, s = st_.r, st_.s
+    sigma_a = np.zeros((m, n))
+    sigma_a[np.arange(r + s), np.arange(r + s)] = np.r_[np.ones(r), alphas]
+    sigma_c = np.zeros((q, n))
+    cols = np.arange(r, n)
+    sines = np.r_[np.sqrt(1.0 - alphas**2), np.ones(n - r - s)]
+    sigma_c[q - (n - r) + cols - r, cols] = sines
+    x = (
+        sample_haar_unitary(n, gen)
+        @ np.diag(np.geomspace(1.0, 10.0, n))
+        @ sample_haar_unitary(n, gen)
+    )
+    x_inv = np.linalg.inv(x)
+    u, v = sample_haar_unitary(m, gen), sample_haar_unitary(q, gen)
+    return u @ sigma_a @ x_inv, v @ sigma_c @ x_inv
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (4, 5, 3), (3, 4, 5), (2, 3, 4)])
+def test_spectrum_recovers_known_values(dims):
+    s = compute_structure(ProblemDims(*dims)).s
+    gen = RngStream(4242).generator()
+    for trial in range(25):
+        if trial == 0:
+            alphas = np.geomspace(0.99, 1e-4, s) if s > 1 else np.array([1e-4])
+        else:
+            alphas = np.sort(10.0 ** gen.uniform(-4.0, np.log10(0.99), s))[::-1]
+        a, c = _known_pair(dims, alphas, gen)
+        np.testing.assert_allclose(
+            gsvd_spectrum(a, c).w, alphas**2 / (1.0 - alphas**2), rtol=1e-10
+        )
+
+
+def test_stack_kernel_masks_only_the_rank_deficient_row():
+    dims = ProblemDims(2, 3, 2)
+    st_ = compute_structure(dims)
+    gen = RngStream(17).generator()
+    b = sample_ginibre(5, 2, gen, count=4)
+    b[2] = np.ones((5, 1)) @ np.ones((1, 2))  # rank one
+    alphas, ok, full_rank = _stack_cosines(b, dims.m, st_)
+    assert alphas.shape == (4, st_.s)
+    np.testing.assert_array_equal(ok, [True, True, False, True])
+    np.testing.assert_array_equal(full_rank, ok)
+
+
+def test_spectrum_rejects_cosine_in_zero_dead_zone():
+    # a full-rank stack whose second cosine lies below ZERO_TOL
+    a, c = _known_pair((2, 3, 2), np.array([0.5, 1e-10]), RngStream(5).generator())
+    with pytest.raises(DegeneracyError):
+        gsvd_spectrum(a, c)
+
+
 def test_spectrum_rejects_column_mismatch():
     with pytest.raises(DimensionError):
         gsvd_spectrum(np.eye(2), np.eye(3))
@@ -274,6 +333,12 @@ def test_q_power_monte_carlo_mean():
     vals = batch.values[:, 0]
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - 1.0) < 3.0 * se
+
+
+def test_q_power_rejects_rank_deficient_stack():
+    b = np.ones((5, 1), dtype=complex) @ np.ones((1, 2), dtype=complex)
+    with pytest.raises(SingularityError):
+        q_power_trace(b[:2], b[2:])
 
 
 def test_q_power_rejects_square_stack():

@@ -27,6 +27,17 @@ def test_ginibre_streams_differ():
     assert not np.allclose(a, b)
 
 
+@pytest.mark.parametrize("count", [None, 7])
+def test_ginibre_bit_identical_to_two_draw_formula(count):
+    # reference: all real parts, then all imaginary parts, combined through
+    # a complex temporary and scaled afterwards
+    shape = (3, 4) if count is None else (count, 3, 4)
+    gen = RngStream(13).generator()
+    expected = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) * np.sqrt(0.5)
+    got = sample_ginibre(3, 4, RngStream(13), count=count)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_ginibre_second_moment():
     # Monte Carlo moment oracle: E|x|^2 = 1 under the variance-1/2 convention
     n = 100_000

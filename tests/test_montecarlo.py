@@ -82,6 +82,27 @@ def test_fmatrix_batch_contract():
     assert np.all(batch.values > 0.0)
 
 
+def test_fmatrix_singular_gram_discards_only_its_draw(monkeypatch):
+    # one zero y makes one Gram matrix singular; only that draw is dropped,
+    # and 2000 draws keep one failure under the 0.1% batch limit
+    import gsvdist.montecarlo as mc
+
+    rdims = ReducedDims(2, 2, 3)
+    zeroed = []
+
+    def one_zero_y(rows, cols, rng, count=None):
+        z = sample_ginibre(rows, cols, rng, count=count)
+        if cols == rdims.n_prime and not zeroed:
+            z[0] = 0.0
+            zeroed.append(True)
+        return z
+
+    monkeypatch.setattr(mc, "sample_ginibre", one_zero_y)
+    batch = mc.sample_w_fmatrix(rdims, 2000, RngStream(3))
+    assert zeroed and batch.failures == 1
+    assert batch.values.shape == (2000, 2) and np.all(batch.values > 0.0)
+
+
 def test_fmatrix_scalar_case_positive():
     batch = sample_w_fmatrix(ReducedDims(3, 1, 4), 50, RngStream(3))
     assert batch.values.shape == (50, 1)
