@@ -96,11 +96,15 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _pair_dims(args) -> ProblemDims:
+def _pair_dims(args, what: str) -> ProblemDims:
+    if args.m is None or args.q is None or args.n is None:
+        raise GsvdistError(f"{what} needs --m/--q/--n")
     return ProblemDims(m=args.m, q=args.q, n=args.n)
 
 
-def _reduced(args) -> ReducedDims:
+def _reduced(args, what: str) -> ReducedDims:
+    if args.mp is None or args.p is None or args.np is None:
+        raise GsvdistError(f"{what} needs --mp/--p/--np")
     return ReducedDims(m_prime=args.mp, p=args.p, n_prime=args.np)
 
 
@@ -119,7 +123,7 @@ def _grid(args) -> np.ndarray:
 
 
 def cmd_dims(args) -> int:
-    dims = _pair_dims(args)
+    dims = _pair_dims(args, "dims")
     st = compute_structure(dims)
     rd = reduced_dims(dims)
     try:
@@ -182,23 +186,21 @@ def cmd_cdf(args) -> int:
     return _law_table(args, marginal_cdf, "cdf")
 
 
+# sampler -> (dimensions parser, draw); the lambdas look the sampler up at
+# call time, so a wrapper bound to its module name sees the call
+_SAMPLERS = {
+    SamplerId.GSVD: (_pair_dims, lambda *run: sample_w_gsvd(*run)),
+    SamplerId.F_MATRIX: (_reduced, lambda *run: sample_w_fmatrix(*run)),
+    SamplerId.HAAR_BLOCK: (_pair_dims, lambda *run: sample_alpha_haar(*run)),
+    SamplerId.Q_POWER: (_pair_dims, lambda *run: sample_q_power(*run)),
+}
+
+
 def cmd_sample(args) -> int:
-    rng = RngStream(args.seed)
     sampler = SamplerId(args.sampler)
-    if sampler is SamplerId.F_MATRIX:
-        if args.mp is None or args.p is None or args.np is None:
-            raise GsvdistError("sampler fmatrix needs --mp/--p/--np")
-        batch = sample_w_fmatrix(_reduced(args), args.samples, rng, args.workers)
-    else:
-        if args.m is None or args.q is None or args.n is None:
-            raise GsvdistError(f"sampler {sampler.value} needs --m/--q/--n")
-        dims = _pair_dims(args)
-        if sampler is SamplerId.GSVD:
-            batch = sample_w_gsvd(dims, args.samples, rng, args.workers)
-        elif sampler is SamplerId.HAAR_BLOCK:
-            batch = sample_alpha_haar(dims, args.samples, rng, args.workers)
-        else:
-            batch = sample_q_power(dims, args.samples, rng, args.workers)
+    parse, draw = _SAMPLERS[sampler]
+    dims = parse(args, f"sampler {sampler.value}")
+    batch = draw(dims, args.samples, RngStream(args.seed), args.workers)
 
     meta = {
         "sampler": batch.sampler_id.value,
@@ -230,20 +232,16 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     experiment = Experiment(args.experiment)
-    kwargs = dict(
+    what = f"verify {experiment.value}"
+    report = run_experiment(
+        experiment,
+        dims=None if experiment.takes_reduced else _pair_dims(args, what),
+        reduced=_reduced(args, what) if experiment.takes_reduced else None,
         samples=args.samples,
         seed=args.seed,
         workers=args.workers,
         alpha_level=args.alpha,
     )
-    if experiment is Experiment.NORMALIZATION:
-        if args.mp is None or args.p is None or args.np is None:
-            raise GsvdistError("verify normalization needs --mp/--p/--np")
-        report = run_experiment(experiment, reduced=_reduced(args), **kwargs)
-    else:
-        if args.m is None or args.q is None or args.n is None:
-            raise GsvdistError(f"verify {experiment.value} needs --m/--q/--n")
-        report = run_experiment(experiment, dims=_pair_dims(args), **kwargs)
 
     if args.format == "json":
         payload = report.to_dict(include_timing=False)

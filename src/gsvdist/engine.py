@@ -182,14 +182,15 @@ class GsvdFactors:
     structure: GsvdStructure
 
 
-def _pair_dims(a: np.ndarray, c: np.ndarray) -> ProblemDims:
+def _pair_stack(a, c) -> tuple[ProblemDims, np.ndarray]:
+    """Validated dimensions of a pair and its complex stack ``[a; c]``."""
     a = linalg._as_matrix(a)
     c = linalg._as_matrix(c)
     if a.shape[1] != c.shape[1]:
         raise DimensionError(
             f"column counts differ: a is {a.shape}, c is {c.shape}"
         )
-    return ProblemDims(m=a.shape[0], q=c.shape[0], n=a.shape[1])
+    return ProblemDims(m=a.shape[0], q=c.shape[0], n=a.shape[1]), np.vstack([a, c])
 
 
 def _classify(sv: np.ndarray, st: GsvdStructure):
@@ -243,14 +244,13 @@ def gsvd_spectrum(a, c) -> GsvdSpectrum:
     r ones and s interior values; the interior values are the alphas, and
     ``w = alpha^2 / (1 - alpha^2)``.
     """
-    dims = _pair_dims(a, c)
+    dims, b = _pair_stack(a, c)
     st = compute_structure(dims)
     if st.s == 0:
         raise RegimeError(
             f"dims {dims.as_tuple()} are in the {st.regime.value} regime: "
             "s = 0, the pair has no random spectrum"
         )
-    b = np.vstack([np.asarray(a, np.complex128), np.asarray(c, np.complex128)])
     alphas, ok, full_rank = _stack_cosines(b[None], dims.m, st)
     if not full_rank[0]:
         raise DecompositionError(
@@ -270,14 +270,13 @@ def gsvd_spectrum_direct(a, c) -> GsvdSpectrum:
     eigendecomposition.  Kept deliberately separate from the QR-then-CS
     path so the two can cross-check each other.
     """
-    dims = _pair_dims(a, c)
+    dims, b = _pair_stack(a, c)
     st = compute_structure(dims)
     if st.regime is not Regime.TALL_C:
         raise RegimeError(
             f"gram-inverse route needs q >= n, got q = {dims.q}, n = {dims.n}"
         )
-    a = np.asarray(a, np.complex128)
-    c = np.asarray(c, np.complex128)
+    a, c = b[: dims.m], b[dims.m :]
     gram = c.conj().T @ c
     solved = linalg.solve_hermitian_posdef(gram, a.conj().T)
     ratio = a @ solved
@@ -301,7 +300,7 @@ def gsvd_factorize(a, c) -> GsvdFactors:
     inverse of (middle unitary conjugate times the diagonal of stacked
     singular values), padded with zero columns beyond k.
     """
-    dims = _pair_dims(a, c)
+    dims, b = _pair_stack(a, c)
     if max(dims.m, dims.q, dims.n) > FACTORIZE_DIM_CAP:
         raise DimensionError(
             f"explicit factorization is reference scale: dims must be "
@@ -311,7 +310,6 @@ def gsvd_factorize(a, c) -> GsvdFactors:
     m, q, n = dims.m, dims.q, dims.n
     k, r, s = st.k, st.r, st.s
 
-    b = np.vstack([np.asarray(a, np.complex128), np.asarray(c, np.complex128)])
     p_full, sb, rh_full = np.linalg.svd(b, full_matrices=True)
     if sb[k - 1] <= RANK_TOL * sb[0]:
         raise DecompositionError("stacked pair is rank deficient")
@@ -407,12 +405,11 @@ def q_power_trace(a, c) -> float:
     computed directly from the k nonzero eigenvalues of the stacked Gram
     matrix (taking whichever of the two Gram products is smaller).
     """
-    dims = _pair_dims(a, c)
+    dims, b = _pair_stack(a, c)
     if dims.m + dims.q == dims.n:
         raise DimensionError(
             "q_power_trace requires m + q != n (the square-stack boundary)"
         )
-    b = np.vstack([np.asarray(a, np.complex128), np.asarray(c, np.complex128)])
     totals, ok = _stack_power(b[None])
     if not ok[0]:
         raise SingularityError(

@@ -12,8 +12,10 @@ batch's stream, and results merge by concatenation in chunk order, so a
 report is a pure function of (seed, worker count).  Draws that fail the
 rank test, the singular-value classification or a Cholesky factorization
 are discarded one by one and counted, and each check reports the count of
-its batches as ``discarded``; a failure rate above 0.1% aborts the batch
-rather than risk biased censoring.
+its batches as ``discarded``.  One failure budget, 0.1% of the draws made
+and never less than one draw, applies to each chunk while it draws and to
+the whole batch; exceeding it aborts the batch rather than risk biased
+censoring.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +75,11 @@ class Experiment(str, Enum):
     Q_POWER_MEAN = "qpower"  # mean power of the shared right factor
     HAAR_CHAIN = "haar"  # Haar-truncation route vs the GSVD route
 
+    @property
+    def takes_reduced(self) -> bool:
+        """Whether the input is the reduced triple (m', p, n'), not (m, q, n)."""
+        return self not in _SAMPLING
+
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
@@ -102,6 +110,11 @@ def _chunk_sizes(count: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
+def _over_budget(failures: int, drawn: int) -> bool:
+    """Whether ``failures`` discards out of ``drawn`` draws exceed the budget."""
+    return failures > max(1.0, MAX_FAILURE_RATE * drawn)
+
+
 def _fill_chunk(draw_fn, gen: np.random.Generator, quota: int, arity: int):
     """Draw until the quota is met, discarding and counting bad rows."""
     rows = np.empty((quota, arity))
@@ -111,7 +124,7 @@ def _fill_chunk(draw_fn, gen: np.random.Generator, quota: int, arity: int):
         need = quota - filled
         good, bad = draw_fn(gen, need)
         failures += bad
-        if failures > MAX_FAILURE_RATE * quota + 100:
+        if _over_budget(failures, quota + failures):
             raise DegeneracyError(
                 f"chunk aborted: {failures} degenerate draws against quota {quota}"
             )
@@ -153,7 +166,7 @@ def _run_batch(
 
     values = np.concatenate([r[0] for r in results], axis=0)
     failures = sum(r[1] for r in results)
-    if failures > MAX_FAILURE_RATE * (count + failures):
+    if _over_budget(failures, count + failures):
         raise DegeneracyError(
             f"batch aborted: failure rate {failures / (count + failures):.2%} "
             "exceeds 0.1%"
@@ -443,16 +456,112 @@ class VerificationReport:
         return out
 
 
-def _check(kind: str, report: KsReport | MeanReport, *batches: SampleBatch) -> dict:
-    """A sampling check's payload: the test report and the draws it discarded."""
-    discarded = sum(batch.failures for batch in batches)
-    return {"kind": kind, **report.to_dict(), "discarded": discarded}
-
-
 _CALIBRATION_NOTE = (
     "statistical acceptance is asymptotic: the alpha level and sample count "
     "are artifact calibration choices, committed with the seed"
 )
+
+# batch source -> draw(dims, reduced, count, rng, workers), valued in w (the
+# two-sample KS statistic is unchanged by the monotone map alpha^2 -> w);
+# test -> report(batches, dims, reduced, alpha level).  Samplers and tests
+# are looked up as module globals at call time, so a wrapper bound to their
+# names, such as a tracer or a draw counter, sees every call.
+_SOURCES = {
+    "gsvd": lambda dims, rd, *run: sample_w_gsvd(dims, *run),
+    "fmatrix": lambda dims, rd, *run: sample_w_fmatrix(rd, *run),
+    "haar": lambda dims, rd, *run: alpha_sq_to_w(sample_alpha_haar(dims, *run)),
+    "haar_lower": lambda dims, rd, *run: alpha_sq_to_w(
+        sample_alpha_haar(dims, *run, block="lower_right")
+    ),
+    "qpower": lambda dims, rd, *run: sample_q_power(dims, *run),
+}
+_TESTS = {
+    "ks_two_sample": lambda batches, dims, rd, alpha: ks_two_sample(*batches, alpha),
+    "ks_one_sample": lambda batches, dims, rd, alpha: ks_one_sample(
+        *batches, law_params(*rd.as_tuple()), alpha
+    ),
+    "mean": lambda batches, dims, rd, alpha: mean_report(
+        batches[0].values, expected_q_power(dims)
+    ),
+}
+
+
+class _Sampling(NamedTuple):
+    checks: tuple  # (name, test, ((source, stream index), ...)) per check
+    reads_reduced: bool = False  # refuses s = 0 and records (m', p, n')
+    mean_gap: bool = False  # refuses |m + q - n| < MEAN_TEST_MIN_GAP
+
+
+_SAMPLING = {
+    Experiment.EQUIVALENCE: _Sampling(
+        (("gsvd_vs_ratio_ensemble", "ks_two_sample", (("gsvd", 0), ("fmatrix", 1))),),
+        reads_reduced=True,
+    ),
+    Experiment.MARGINAL: _Sampling(
+        (
+            ("gsvd_vs_marginal_cdf", "ks_one_sample", (("gsvd", 0),)),
+            ("ratio_ensemble_vs_marginal_cdf", "ks_one_sample", (("fmatrix", 1),)),
+        ),
+        reads_reduced=True,
+    ),
+    Experiment.HAAR_CHAIN: _Sampling(
+        (
+            ("haar_truncation_vs_gsvd", "ks_two_sample", (("haar", 0), ("gsvd", 2))),
+            ("haar_block_equivalence", "ks_two_sample", (("haar", 0), ("haar_lower", 1))),
+        )
+    ),
+    Experiment.Q_POWER_MEAN: _Sampling(
+        (("power_mean", "mean", (("qpower", 0),)),), mean_gap=True
+    ),
+}
+
+
+def _sampling_checks(experiment, dims, samples, seed, workers, alpha_level):
+    if dims is None:
+        raise RegimeError(f"{experiment.value} experiment needs pair dimensions")
+    spec = _SAMPLING[experiment]
+    rd = reduced_dims(dims)
+    record = asdict(dims)
+    if spec.reads_reduced:
+        if rd is None:
+            raise RegimeError(f"dims {dims.as_tuple()} have no random spectrum (s = 0)")
+        record.update(asdict(rd))
+    gap = abs(dims.m + dims.q - dims.n)
+    if spec.mean_gap and gap < MEAN_TEST_MIN_GAP:
+        raise RegimeError(
+            f"mean test needs |m + q - n| >= {MEAN_TEST_MIN_GAP}, got {gap}: the "
+            "closed-form mean is undefined at m + q = n, and near that boundary "
+            "the sampling variance makes a 3-sigma acceptance meaningless"
+        )
+
+    batches = {
+        (src, i): _SOURCES[src](dims, rd, samples, RngStream(seed, i), workers)
+        for src, i in dict.fromkeys(key for _, _, reads in spec.checks for key in reads)
+    }
+    checks = []
+    for name, test, reads in spec.checks:
+        read = [batches[key] for key in reads]
+        report = _TESTS[test](read, dims, rd, alpha_level).to_dict()
+        discarded = sum(batch.failures for batch in read)
+        checks.append((name, {"kind": test, **report, "discarded": discarded}))
+    return record, checks
+
+
+def _normalization_checks(reduced):
+    if reduced is None:
+        raise RegimeError("normalization experiment needs reduced dimensions")
+    params = law_params(*reduced.as_tuple())
+    record = asdict(reduced)
+    integral = quadrature_integrate(lambda w: marginal_pdf(params, w), 1e-8)
+    tail = float(marginal_cdf(params, np.inf))
+    checks = []
+    for name, kind, value, tol in (
+        ("density_normalization", "quadrature", integral, 1e-6),
+        ("cdf_upper_limit", "limit", tail, 1e-8),
+    ):
+        check = {"kind": kind, "value": value, "target": 1.0, "tolerance": tol}
+        checks.append((name, {**check, "passed": bool(abs(value - 1.0) <= tol)}))
+    return record, checks
 
 
 def run_experiment(
@@ -466,136 +575,30 @@ def run_experiment(
 ) -> VerificationReport:
     """Run one named experiment and return its deterministic report.
 
-    ``equivalence``, ``marginal``, ``haar`` and ``qpower`` need the pair
-    dimensions ``dims``; ``normalization`` needs the reduced triple.  The
-    report is bit-identical across runs for fixed (seed, workers).
+    ``normalization`` needs the reduced triple; the others need the pair
+    dimensions ``dims`` and draw each batch they test once, batch ``(source,
+    i)`` from ``RngStream(seed, i)``.  A missing input, ``s = 0`` where the
+    reduced triple is read, or a mean test closer than ``MEAN_TEST_MIN_GAP``
+    to ``m + q = n`` raises :class:`RegimeError` before any draw.  The report
+    is bit-identical across runs for fixed (seed, workers).
     """
     experiment = Experiment(experiment)
     start = time.perf_counter()
-    checks: list[tuple[str, dict]] = []
-    notes = [_CALIBRATION_NOTE]
-    dims_record: dict = {}
-
-    if experiment is Experiment.NORMALIZATION:
-        if reduced is None:
-            raise RegimeError("normalization experiment needs reduced dimensions")
-        params = law_params(*reduced.as_tuple())
-        dims_record = {
-            "m_prime": reduced.m_prime,
-            "p": reduced.p,
-            "n_prime": reduced.n_prime,
-        }
-        integral = quadrature_integrate(lambda w: marginal_pdf(params, w), 1e-8)
-        checks.append(
-            (
-                "density_normalization",
-                {
-                    "kind": "quadrature",
-                    "value": integral,
-                    "target": 1.0,
-                    "tolerance": 1e-6,
-                    "passed": bool(abs(integral - 1.0) <= 1e-6),
-                },
-            )
-        )
-        tail = float(marginal_cdf(params, np.inf))
-        checks.append(
-            (
-                "cdf_upper_limit",
-                {
-                    "kind": "limit",
-                    "value": tail,
-                    "target": 1.0,
-                    "tolerance": 1e-8,
-                    "passed": bool(abs(tail - 1.0) <= 1e-8),
-                },
-            )
-        )
+    if experiment.takes_reduced:
+        dims_record, checks = _normalization_checks(reduced)
     else:
-        if dims is None:
-            raise RegimeError(f"{experiment.value} experiment needs pair dimensions")
-        dims_record = {"m": dims.m, "q": dims.q, "n": dims.n}
-
-        if experiment is Experiment.EQUIVALENCE:
-            rd = reduced_dims(dims)
-            if rd is None:
-                raise RegimeError(
-                    f"dims {dims.as_tuple()} are deterministic: no spectrum to compare"
-                )
-            batch_g = sample_w_gsvd(dims, samples, RngStream(seed, 0), workers)
-            batch_f = sample_w_fmatrix(rd, samples, RngStream(seed, 1), workers)
-            report = ks_two_sample(batch_g, batch_f, alpha_level)
-            check = _check("ks_two_sample", report, batch_g, batch_f)
-            checks.append(("gsvd_vs_ratio_ensemble", check))
-            dims_record.update(
-                {"m_prime": rd.m_prime, "p": rd.p, "n_prime": rd.n_prime}
-            )
-
-        elif experiment is Experiment.MARGINAL:
-            rd = reduced_dims(dims)
-            if rd is None:
-                raise RegimeError(
-                    f"dims {dims.as_tuple()} are deterministic: no marginal law"
-                )
-            params = law_params(*rd.as_tuple())
-            batch_g = sample_w_gsvd(dims, samples, RngStream(seed, 0), workers)
-            report_g = ks_one_sample(batch_g, params, alpha_level)
-            checks.append(
-                ("gsvd_vs_marginal_cdf", _check("ks_one_sample", report_g, batch_g))
-            )
-            batch_f = sample_w_fmatrix(rd, samples, RngStream(seed, 1), workers)
-            report_f = ks_one_sample(batch_f, params, alpha_level)
-            check = _check("ks_one_sample", report_f, batch_f)
-            checks.append(("ratio_ensemble_vs_marginal_cdf", check))
-            dims_record.update(
-                {"m_prime": rd.m_prime, "p": rd.p, "n_prime": rd.n_prime}
-            )
-
-        elif experiment is Experiment.HAAR_CHAIN:
-            batch_h = sample_alpha_haar(
-                dims, samples, RngStream(seed, 0), workers, block="upper_left"
-            )
-            batch_h2 = sample_alpha_haar(
-                dims, samples, RngStream(seed, 1), workers, block="lower_right"
-            )
-            batch_g = sample_w_gsvd(dims, samples, RngStream(seed, 2), workers)
-            report_chain = ks_two_sample(alpha_sq_to_w(batch_h), batch_g, alpha_level)
-            check = _check("ks_two_sample", report_chain, batch_h, batch_g)
-            checks.append(("haar_truncation_vs_gsvd", check))
-            report_blocks = ks_two_sample(batch_h, batch_h2, alpha_level)
-            check = _check("ks_two_sample", report_blocks, batch_h, batch_h2)
-            checks.append(("haar_block_equivalence", check))
-
-        elif experiment is Experiment.Q_POWER_MEAN:
-            gap = abs(dims.m + dims.q - dims.n)
-            if gap == 0:
-                raise RegimeError("expectation undefined at m + q = n")
-            if gap < MEAN_TEST_MIN_GAP:
-                raise RegimeError(
-                    f"mean test needs |m + q - n| >= {MEAN_TEST_MIN_GAP}: the "
-                    "sampling variance near the boundary makes a 3-sigma "
-                    "acceptance meaningless (the closed-form mean itself exists "
-                    "for any nonzero gap)"
-                )
-            target = expected_q_power(dims)
-            batch = sample_q_power(dims, samples, RngStream(seed, 0), workers)
-            report = mean_report(batch.values, target)
-            checks.append(("power_mean", _check("mean", report, batch)))
-
-        else:  # pragma: no cover - exhaustive enum
-            raise RegimeError(f"unknown experiment {experiment}")
-
-    passed = all(report["passed"] for _, report in checks)
-    elapsed = time.perf_counter() - start
+        dims_record, checks = _sampling_checks(
+            experiment, dims, samples, seed, workers, alpha_level
+        )
     return VerificationReport(
         experiment=experiment.value,
         dims=dims_record,
         seed=seed,
         workers=workers,
         samples=samples,
-        alpha_level=None if experiment is Experiment.NORMALIZATION else alpha_level,
+        alpha_level=None if experiment.takes_reduced else alpha_level,
         checks=tuple(checks),
-        passed=passed,
-        elapsed_seconds=elapsed,
-        notes=tuple(notes),
+        passed=all(report["passed"] for _, report in checks),
+        elapsed_seconds=time.perf_counter() - start,
+        notes=(_CALIBRATION_NOTE,),
     )

@@ -159,6 +159,22 @@ def test_verify_regime_mismatch_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["verify", "marginal", "--mp", "2", "--p", "2", "--np", "3"], "--m/--q/--n"),
+        (["verify", "normalization", "--m", "2", "--q", "3", "--n", "2"], "--mp/--p/--np"),
+        (["sample", "--sampler", "fmatrix", "--p", "2", "--np", "3"], "--mp/--p/--np"),
+        (["sample", "--sampler", "gsvd", "--m", "2"], "--m/--q/--n"),
+    ],
+)
+def test_missing_dimension_flags_exit_code(capsys, argv, flags):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flags in err
+
+
 def test_verify_statistical_fail_exit_code(capsys, monkeypatch):
     import gsvdist.cli as cli_mod
 

@@ -176,6 +176,18 @@ def test_run_batch_aborts_on_failure_rate():
         )
 
 
+def test_run_batch_keeps_one_discard_in_a_small_batch():
+    # the budget never falls below one draw: a 50-draw batch survives a
+    # single discard (0.1% of 51 draws would be 0.05)
+    def draw(gen, want):
+        vals = np.abs(gen.standard_normal((want, 1))) + 0.1
+        bad = int(want == 50)
+        return vals[bad:], bad
+
+    batch = _run_batch(SamplerId.GSVD, (1, 1, 1), 1, draw, 50, RngStream(1), 1)
+    assert batch.failures == 1 and batch.count == 50
+
+
 # --------------------------------------------------------------------- ks
 
 
@@ -330,6 +342,37 @@ def test_equivalence_rejects_deterministic():
 def test_experiment_accepts_string_names():
     report = run_experiment("normalization", reduced=ReducedDims(1, 1, 1))
     assert report.experiment == "normalization"
+
+
+def test_experiments_resolve_samplers_at_call_time(monkeypatch):
+    # run_experiment looks each sampler up as a module global per batch, so
+    # a wrapper bound to the name sees every draw the experiment makes
+    import gsvdist.montecarlo as mc
+
+    calls = {}
+
+    def counting(name):
+        real = getattr(mc, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    names = ("sample_w_gsvd", "sample_w_fmatrix", "sample_alpha_haar", "sample_q_power")
+    for name in names:
+        monkeypatch.setattr(mc, name, counting(name))
+    expected = {
+        "equivalence": ((2, 3, 2), {"sample_w_gsvd": 1, "sample_w_fmatrix": 1}),
+        "marginal": ((2, 3, 2), {"sample_w_gsvd": 1, "sample_w_fmatrix": 1}),
+        "haar": ((2, 3, 4), {"sample_alpha_haar": 2, "sample_w_gsvd": 1}),
+        "qpower": ((2, 2, 8), {"sample_q_power": 1}),
+    }
+    for experiment, (dims, want) in expected.items():
+        calls.clear()
+        run_experiment(experiment, dims=ProblemDims(*dims), samples=200, seed=0)
+        assert calls == want, experiment
 
 
 def test_report_determinism():
