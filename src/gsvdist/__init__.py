@@ -26,7 +26,6 @@ from .engine import (
 from .ensembles import RngStream, sample_ginibre, sample_haar_unitary
 from .laws import (
     LawParams,
-    SignedPermutationTerm,
     joint_pdf,
     law_params,
     log_mvgamma,
@@ -34,7 +33,6 @@ from .laws import (
     marginal_cdf,
     marginal_pdf,
     marginal_pdf_reciprocal,
-    marginal_terms,
 )
 from .montecarlo import (
     Experiment,
@@ -71,7 +69,6 @@ __all__ = [
     "RngStream",
     "SampleBatch",
     "SamplerId",
-    "SignedPermutationTerm",
     "VerificationReport",
     "alpha_sq_to_w",
     "compute_structure",
@@ -88,7 +85,6 @@ __all__ = [
     "marginal_cdf",
     "marginal_pdf",
     "marginal_pdf_reciprocal",
-    "marginal_terms",
     "mean_report",
     "q_power_trace",
     "quadrature_integrate",

@@ -30,10 +30,6 @@ class PoleError(GsvdistError, ValueError):
     """Special-function argument at or beyond a pole."""
 
 
-class ComplexityError(GsvdistError, ValueError):
-    """Requested computation lies beyond the range its accuracy is verified for."""
-
-
 class ConsistencyError(GsvdistError, ArithmeticError):
     """An internal cross-check failed beyond cancellation tolerance."""
 

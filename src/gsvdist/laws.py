@@ -9,26 +9,36 @@ For independent standard complex Gaussian ``x`` (m' x p) and ``y``
 with ``l = min(p, m')``, ``t1 = |m' - p|``, ``t2 = p + n'``, and a
 normalization constant M built from complex multivariate gamma functions.
 
-This is a beta = 2 ensemble with weight ``omega(w) = w^t1 (1+w)^-t2``, so
-the single-eigenvalue marginal is the Christoffel-Darboux kernel on the
-diagonal (Mehta, *Random Matrices*, ch. 5; Forrester, *Log-gases and
-Random Matrices*, ch. 3):
+This is a beta = 2 ensemble with weight ``omega(w) = w^t1 (1+w)^-t2``.
+Under ``u = w/(1+w)`` the weight, the Vandermonde and the Jacobian become
+the Jacobi unitary ensemble on (0, 1) with weight ``u^a (1-u)^b``,
+``a = t1`` and ``b = n' - m'``, so the single-eigenvalue marginal is the
+Christoffel-Darboux kernel on the diagonal (Mehta, *Random Matrices*,
+ch. 5; Forrester, *Log-gases and Random Matrices*, ch. 3):
 
-    g(w) = (1/l) * omega(w) * sum_ij w^i (G^-1)_ij w^j,
-    G_ij = B(t1+i+j+1, t2-t1-i-j-1),   0 <= i, j < l,
+    g(w) = (1+w)^-2 * (1/l) * sum_{k<l} phi_k(u)^2,
+    phi_k(u) = sqrt(u^a (1-u)^b) p_k(u),
 
-i.e. ``2l - 1`` monomials ``w^(t1+e)`` whose coefficients are the
-anti-diagonal sums of ``G^-1``.  They equal the permutation-pair Beta sums
-times M.  The reciprocal identity relates the density at ``w`` to the same
-kernel with shifted exponent ``t1' = n' - m'`` evaluated at ``1/w``.
+with ``p_k`` the orthonormal Jacobi polynomials on (0, 1), built by their
+three-term recurrence and normalized by ``B(a+1, b+1)`` from ``lgamma``.
+Every term is a square, so nothing cancels, and any ``l`` is allowed.  The
+reciprocal identity is the reflection ``u -> 1 - u = 1/(1+w)``, which swaps
+``a`` and ``b``.  The CDF integrates the kernel in ``u``: its integrand is
+``u^a (1-u)^b`` times a polynomial of degree ``2l - 2``, which
+``l + (a+b)//2`` Gauss-Legendre nodes integrate exactly over (0, x] with
+``x <= 1/2`` (the upper half goes through the reflection).
 
-Error bound, measured against exact rational inversion of G and 60-digit
-mpmath on 1e-3 <= w <= 1e3 for every ``m', p <= 10``, ``n' <= 12`` with
-``l <= 7`` (and tested at three such triples): the density and its
-reciprocal form are within 1e-10 relative and the CDF within 1e-11
-absolute (worst seen on a 21-point grid: 1.4e-11 and 4e-12).  The monomial basis loses
-accuracy as t1 and t2 grow (4e-9 relative at (14, 7, 38)).  Powers and Beta
-values stay in log domain throughout.
+Error bound, measured against exact rational inversion of the Hankel
+moment matrix ``G_ij = B(t1+i+j+1, t2-t1-i-j-1)`` and 60-digit mpmath on a
+21-point grid over 1e-3 <= w <= 1e3: for every ``m', p <= 10``,
+``n' <= 12`` the density and its reciprocal form are within 3e-14
+relative and the CDF within 6e-15 absolute.  The error grows with ``t2``
+through the log weight, and only mildly with ``l``: on 15 larger triples
+with ``l`` up to 25 and ``t2`` up to 903 (points where the density exceeds
+1e-250) the density stays below ``2e-15 * t2`` relative (1e-13 at
+(25, 25, 30), 5.1e-13 at (400, 3, 900)) and the CDF below ``1e-15 * t2``
+absolute (3.2e-13 at (400, 3, 900)).  Powers and Beta values stay in log
+domain throughout.
 """
 
 from __future__ import annotations
@@ -38,19 +48,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaln
+from numpy.polynomial.legendre import leggauss
 
-from .errors import (
-    ComplexityError,
-    ConsistencyError,
-    DimensionError,
-    PoleError,
-)
+from .errors import ConsistencyError, DimensionError, PoleError
 
 LOG_PI = math.log(math.pi)
-# the monomial Hankel matrix G grows ill-conditioned with l; the kernel's
-# stated accuracy is verified up to this order, and larger l is refused
-MAX_MARGINAL_ORDER = 7
+# values per run of a large evaluation (see _by_block)
+_BLOCK = 32768
 
 
 def log_mvgamma(dim: int, a: float) -> float:
@@ -137,77 +141,10 @@ def law_params(m_prime: int, p: int, n_prime: int) -> LawParams:
     return params
 
 
-@dataclass(frozen=True)
-class SignedPermutationTerm:
-    """One monomial of the marginal: ``sign * exp(log_beta_product) * w^exponent``.
-
-    ``sign * exp(log_beta_product)`` is the sum of the signed Beta products
-    of all permutation pairs with that exponent; times the normalization
-    constant M it is the kernel coefficient of ``w^exponent``.
-    """
-
-    exponent: int
-    sign: int
-    log_beta_product: float
-
-
-@lru_cache(maxsize=64)
-def _coefficients(l: int, t1: int, t2: int) -> np.ndarray:
-    """Log magnitudes (row 0) and signs (row 1) of the coefficients of w^(t1+e).
-
-    ``G_ij = B(t1+i+j+1, t2-t1-i-j-1)`` is inverted after symmetric scaling
-    by its diagonal; coefficient ``e = 0..2l-2`` is the e-th anti-diagonal
-    sum of ``G^-1`` divided by l.  Each sum is taken relative to its largest
-    scale, so nothing overflows however small the Beta values are.
-    """
-    idx = np.arange(l)
-    diag_sum = idx[:, None] + idx[None, :]
-    log_g = betaln(t1 + diag_sum + 1, t2 - t1 - diag_sum - 1)
-    half = 0.5 * np.diag(log_g)
-    log_scale = -half[:, None] - half[None, :]
-    # (G^-1)_ij = inv(D G D)_ij * exp(log_scale_ij) with D = diag(exp(-half))
-    scaled_inv = np.linalg.inv(np.exp(log_g + log_scale))
-    table = np.empty((2, 2 * l - 1))
-    for e in range(2 * l - 1):
-        on = diag_sum == e
-        shift = log_scale[on].max()
-        total = np.sum(scaled_inv[on] * np.exp(log_scale[on] - shift))
-        table[:, e] = shift + np.log(abs(total)) - math.log(l), np.sign(total)
-    table.setflags(write=False)
-    return table
-
-
-def _table(params: LawParams, t1: int) -> np.ndarray:
-    if params.l > MAX_MARGINAL_ORDER:
-        raise ComplexityError(
-            f"marginal kernel verified only for l <= {MAX_MARGINAL_ORDER}, "
-            f"got l = {params.l}"
-        )
-    return _coefficients(params.l, t1, params.t2)
-
-
-def marginal_terms(params: LawParams) -> tuple[SignedPermutationTerm, ...]:
-    """Signed monomial table of the single-eigenvalue marginal.
-
-    A view of the kernel coefficients: ``2l - 1`` terms, one per exponent
-    in ``[t1, t1 + 2l - 2]``, each equal to the exponent-merged sum over
-    all permutation pairs.
-    """
-    log_abs, signs = _table(params, params.t1)
-    return tuple(
-        SignedPermutationTerm(
-            exponent=params.t1 + e,
-            sign=int(sign),
-            log_beta_product=float(log_abs[e] - params.log_m),
-        )
-        for e, sign in enumerate(signs)
-    )
-
-
 def _check_positive(w: np.ndarray) -> None:
     if w.size == 0:
         raise DimensionError("empty evaluation point")
-    if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
+    if not ((w > 0.0) & (w < np.inf)).all():
         raise DimensionError("evaluation points must be finite and positive")
 
 
@@ -236,78 +173,145 @@ def joint_pdf(params: LawParams, w) -> float:
     return float(np.exp(log_value))
 
 
-def _marginal_eval(params: LawParams, t1: int, log_w, log_1pw, log_prefactor):
-    log_abs, signs = _table(params, t1)
-    exponents = t1 + np.arange(log_abs.size)
-    # one row per term, so each exp pass runs over contiguous points
-    x = np.add.outer(log_abs, log_prefactor - params.t2 * log_1pw)
-    x += np.multiply.outer(exponents, log_w)
-    total = np.tensordot(signs, np.exp(x, out=x), axes=1)
-    if np.any(total < 0.0):
-        worst = float(np.min(total))
-        raise ConsistencyError(
-            f"kernel density evaluated to {worst:.3e}, but it is a positive form"
-        )
-    return total
+@lru_cache(maxsize=64)
+def _recurrence(l: int, a: int, b: int) -> tuple[tuple, tuple, float]:
+    """Orthonormal three-term recurrence on (0, 1) for the weight ``u^a (1-u)^b``.
+
+    ``u p_k = beta_{k+1} p_{k+1} + alpha_k p_k + beta_k p_{k-1}`` with
+    ``p_0 = B(a+1, b+1)^(-1/2)``: the Jacobi recurrence (Szegő, *Orthogonal
+    Polynomials*, §4.5) moved from (-1, 1) to (0, 1).  Returns
+    ``alpha_0..alpha_{l-2}``, ``beta_0..beta_{l-1}`` with ``beta_0 = 0``, and
+    ``log(l B(a+1, b+1))``.
+    """
+    alpha, beta = [], [0.0]
+    for k in range(l - 1):
+        s = 2 * k + a + b
+        # s = 0 only when a = b = 0, where the numerator vanishes as well
+        alpha.append(0.5 + (a * a - b * b) / (2.0 * max(s, 1) * (s + 2)))
+    for k in range(1, l):
+        s = 2 * k + a + b
+        beta.append(math.sqrt(k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1) * (s - 1))))
+    log_norm = math.log(l) + math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2)
+    return tuple(alpha), tuple(beta), log_norm
+
+
+def _kernel(l: int, a: int, b: int, u, log_weight):
+    """``(1/l) sum_{k<l} phi_k(u)^2`` with ``phi_k = sqrt(u^a (1-u)^b) p_k(u)``.
+
+    ``log_weight`` is ``log(u^a (1-u)^b)``, times any Jacobian, formed by the
+    caller from the most accurate logs it has.  A sum of squares: no term
+    can cancel another.
+    """
+    alpha, beta, log_norm = _recurrence(l, a, b)
+    prev, cur, total = 0.0, 1.0, 1.0
+    for k in range(l - 1):
+        prev, cur = cur, ((u - alpha[k]) * cur - beta[k] * prev) / beta[k + 1]
+        total = total + cur * cur
+    return np.exp(log_weight - log_norm) * total
+
+
+def _by_block(f, x: np.ndarray, width: int = 1):
+    """``f(x)``, taken over runs of the flattened points when ``x`` is large.
+
+    ``f`` makes ``width`` temporaries per point; runs of ``_BLOCK // width``
+    points keep them in cache, which more than halves the time per point
+    on large grids.
+    """
+    step = max(1, _BLOCK // width)
+    if x.size <= step:
+        return f(x)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    for i in range(0, flat.size, step):
+        out[i : i + step] = f(flat[i : i + step])
+    return out.reshape(x.shape)
+
+
+def _density(params: LawParams, w, a: int, b: int, u_of_w):
+    w = np.asarray(w, dtype=np.float64)
+    _check_positive(w)
+    # u^a (1-u)^b (1+w)^-2 is w^t1 (1+w)^-(t1 + t1' + 2) in either orientation
+    shift = params.t1 + params.t1_reciprocal + 2
+
+    def block(w):
+        log_weight = params.t1 * np.log(w) - shift * np.log1p(w)
+        return _kernel(params.l, a, b, u_of_w(w), log_weight)
+
+    out = _by_block(block, w)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def marginal_pdf(params: LawParams, w):
     """Density of a single (uniformly chosen) eigenvalue at ``w``.
 
-    Accepts a scalar or an array of positive points.  The density is a
-    positive quadratic form, so a negative evaluation raises
-    :class:`ConsistencyError` instead of being clamped.
+    Accepts a scalar or an array of positive points.  Under
+    ``u = w/(1+w)`` it is ``(1+w)^-2 (1/l) sum_{k<l} phi_k(u)^2`` with
+    ``phi_k`` the orthonormal Jacobi functions of ``u^t1 (1-u)^(n'-m')``.
     """
-    w_arr = np.asarray(w, dtype=np.float64)
-    scalar = w_arr.ndim == 0
-    w_arr = np.atleast_1d(w_arr)
-    _check_positive(w_arr)
-    out = _marginal_eval(params, params.t1, np.log(w_arr), np.log1p(w_arr), 0.0)
-    return float(out[0]) if scalar else out
+    return _density(params, w, params.t1, params.t1_reciprocal, lambda w: w / (1.0 + w))
 
 
 def marginal_pdf_reciprocal(params: LawParams, w):
     """Marginal density through the reciprocal-argument identity.
 
-    Evaluates ``w^{-2} * g'(1/w)`` where ``g'`` is the kernel density with
-    the shifted exponent ``t1' = n' - m'``; agrees with :func:`marginal_pdf`
-    to within the kernel's roundoff, which makes the pair a mutual
-    consistency check.
+    The reflection ``u -> 1 - u = 1/(1+w)`` swaps the Jacobi exponents, so
+    this evaluates the kernel of ``u^(n'-m') (1-u)^t1`` at ``1/(1+w)``.  It
+    agrees with :func:`marginal_pdf` to within roundoff, which makes the pair
+    a mutual consistency check of the recurrence.
     """
-    w_arr = np.asarray(w, dtype=np.float64)
-    scalar = w_arr.ndim == 0
-    w_arr = np.atleast_1d(w_arr)
-    _check_positive(w_arr)
-    log_w = np.log(w_arr)
-    # at 1/w: log(1/w) = -log w and log(1 + 1/w) = log1p(w) - log w
-    out = _marginal_eval(
-        params, params.t1_reciprocal, -log_w, np.log1p(w_arr) - log_w, -2.0 * log_w
-    )
-    return float(out[0]) if scalar else out
+    return _density(params, w, params.t1_reciprocal, params.t1, lambda w: 1.0 / (1.0 + w))
+
+
+@lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``n``-point Gauss-Legendre nodes, their logs and weights on (0, 1)."""
+    nodes, weights = leggauss(n)
+    rule = ((nodes + 1.0) / 2.0, np.log1p(nodes) - math.log(2.0), weights / 2.0)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
+def _lower_mass(l: int, a: int, b: int, x: np.ndarray) -> np.ndarray:
+    """``int_0^x (1/l) sum_{k<l} phi_k(u)^2 du`` at points ``0 < x <= 1/2``.
+
+    The integrand is ``u^a (1-u)^b`` times a polynomial of degree ``2l - 2``,
+    so ``l + (a+b)//2`` Gauss-Legendre nodes integrate it exactly, with
+    positive weights on nonnegative values.
+    """
+    nodes, log_nodes, weights = _gauss_legendre(l + (a + b) // 2)
+
+    def block(x):
+        u = np.multiply.outer(x, nodes)
+        log_weight = a * np.add.outer(np.log(x), log_nodes) + b * np.log1p(-u)
+        return (_kernel(l, a, b, u, log_weight) @ weights) * x
+
+    return _by_block(block, x, nodes.size)
 
 
 def marginal_cdf(params: LawParams, w):
     """Distribution function of a single eigenvalue.
 
-    Each monomial integrates in closed form under ``u = t/(1+t)`` to
-    ``B(a, b) * I_u(a, b)``, so the CDF is the same coefficient sum with
-    every term damped by a regularized incomplete Beta value;
-    cross-checked against quadrature of the density in the test suite.
+    For ``w <= 1`` the mass of (0, u] with ``u = w/(1+w)``; above, one minus
+    the mass of (u, 1), which is the mass of (0, 1/(1+w)] under the
+    reflected weight.  Either way the interval is at most (0, 1/2].
+    Cross-checked against quadrature of the density in the test suite.
     """
-    w_arr = np.asarray(w, dtype=np.float64)
-    scalar = w_arr.ndim == 0
-    w_arr = np.atleast_1d(w_arr).astype(np.float64)
-    if np.any(~np.isfinite(w_arr) & ~np.isposinf(w_arr)) or np.any(w_arr < 0.0):
+    w = np.asarray(w, dtype=np.float64)
+    scalar = w.ndim == 0
+    w = np.atleast_1d(w)
+    if not (w >= 0.0).all():
         raise DimensionError("CDF points must be nonnegative (inf allowed)")
-    log_abs, signs = _table(params, params.t1)
-    a = params.t1 + np.arange(log_abs.size) + 1
-    b = params.t2 - a
-    u = np.ones_like(w_arr)
-    finite = np.isfinite(w_arr)
-    u[finite] = w_arr[finite] / (1.0 + w_arr[finite])
-    coef = signs * np.exp(log_abs + betaln(a, b))
-    rows = (-1,) + (1,) * u.ndim
-    total = np.tensordot(coef, betainc(a.reshape(rows), b.reshape(rows), u), axes=1)
+    upper = w > 1.0
+    x = np.where(upper, 1.0, w) / (1.0 + w)
+    total = upper.astype(np.float64)
+    for side, a, b, sign in (
+        (~upper, params.t1, params.t1_reciprocal, 1.0),
+        (upper, params.t1_reciprocal, params.t1, -1.0),
+    ):
+        pick = side & (x > 0.0)
+        if pick.any():
+            total[pick] += sign * _lower_mass(params.l, a, b, x[pick])
     if np.any(total < -1e-9) or np.any(total > 1.0 + 1e-9):
         raise ConsistencyError("CDF accumulation left [0, 1] beyond roundoff")
     out = np.clip(total, 0.0, 1.0)

@@ -3,7 +3,7 @@
 The half line is compactified by ``w = u / (1 - u)`` with ``u`` in (0, 1),
 after which adaptive Gauss-Kronrod handles the transformed integrand.  Used
 to certify that density normalizations really integrate to one, so it must
-stay independent of the closed-form term machinery.
+stay independent of the closed-form kernel.
 """
 
 from __future__ import annotations

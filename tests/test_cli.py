@@ -89,6 +89,14 @@ def test_cdf_monotone_grid(capsys):
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+def test_pdf_order_eight(capsys):
+    # l = 8: the marginal law has no order cap
+    code, out = _run(capsys, ["pdf", "--mp", "8", "--p", "8", "--np", "8"])
+    assert code == 0
+    values = [float(r["pdf"]) for r in csv.DictReader(io.StringIO(out))]
+    assert len(values) == 200 and all(v > 0.0 for v in values)
+
+
 def test_grid_validation(capsys):
     code, _ = _run(
         capsys, ["pdf", "--mp", "2", "--p", "2", "--np", "2", "--grid", "2", "1", "5"]
@@ -197,6 +205,15 @@ def test_verify_statistical_fail_exit_code(capsys, monkeypatch):
 def test_verify_normalization(capsys):
     code, out = _run(
         capsys, ["verify", "normalization", "--mp", "3", "--p", "2", "--np", "4"]
+    )
+    assert code == 0
+    checks = json.loads(out)["data"]["checks"]
+    assert checks[0]["value"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_verify_normalization_order_eight(capsys):
+    code, out = _run(
+        capsys, ["verify", "normalization", "--mp", "8", "--p", "8", "--np", "9"]
     )
     assert code == 0
     checks = json.loads(out)["data"]["checks"]

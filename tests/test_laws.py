@@ -3,7 +3,8 @@
 The reference oracles here work in exact ``fractions.Fraction`` arithmetic
 (Beta functions of integer arguments are rational): one enumerates the
 permutation-pair sum, the other inverts the Hankel moment matrix of the
-kernel.  Both are entirely separate from the package's log-domain
+kernel.  Both expand the marginal in monomials of ``w``, entirely separate
+from the package's orthonormal Jacobi basis and its log-domain
 floating-point machinery.
 """
 
@@ -25,15 +26,9 @@ from gsvdist import (
     marginal_cdf,
     marginal_pdf,
     marginal_pdf_reciprocal,
-    marginal_terms,
     quadrature_integrate,
 )
-from gsvdist.errors import (
-    ComplexityError,
-    ConsistencyError,
-    DimensionError,
-    PoleError,
-)
+from gsvdist.errors import ConsistencyError, DimensionError, PoleError
 
 
 def _beta_exact(a: int, b: int) -> Fraction:
@@ -187,57 +182,14 @@ def test_joint_pdf_arity_and_domain():
         joint_pdf(params, [1.0, -2.0])
 
 
-# -------------------------------------------------------------------- terms
-
-
-def test_marginal_terms_single_permutation():
-    params = law_params(3, 1, 4)  # l = 1
-    terms = marginal_terms(params)
-    assert len(terms) == 1
-    assert terms[0].exponent == params.t1
-    assert terms[0].sign == 1
-    assert terms[0].log_beta_product == pytest.approx(0.0, abs=1e-15)
-
-
-def test_marginal_terms_merged_l2_anchor():
-    # four permutation pairs with B(3,1) = 1/3, B(2,2) = 1/6, B(1,3) = 1/3
-    # merge to +1/3, -1/3, +1/3 at exponents 0, 1, 2
-    params = law_params(2, 2, 2)  # l=2, t1=0, t2=4
-    expected = {0: Fraction(1, 3), 1: Fraction(-1, 3), 2: Fraction(1, 3)}
-    assert _merged_exact(2, 0, 4) == expected
-    terms = {t.exponent: t.sign * math.exp(t.log_beta_product) for t in marginal_terms(params)}
-    for e, coeff in expected.items():
-        assert terms[e] == pytest.approx(float(coeff), rel=1e-12)
-
-
-@pytest.mark.parametrize("triple", [(2, 1, 2), (2, 2, 3), (3, 3, 3), (3, 2, 5), (4, 4, 4), (4, 3, 6)])
-def test_marginal_terms_match_exact_enumeration(triple):
-    params = law_params(*triple)
-    exact = _merged_exact(params.l, params.t1, params.t2)
-    got = {t.exponent: t.sign * math.exp(t.log_beta_product) for t in marginal_terms(params)}
-    assert set(got) == set(exact)
-    for e, coeff in exact.items():
-        assert got[e] == pytest.approx(float(coeff), rel=1e-11)
-
-
-def test_marginal_terms_exponent_range():
-    params = law_params(4, 3, 6)
-    for term in marginal_terms(params):
-        assert params.t1 <= term.exponent <= params.t1 + 2 * params.l - 2
-
-
-def test_marginal_complexity_cap():
-    with pytest.raises(ComplexityError):
-        marginal_terms(law_params(8, 8, 8))
-    with pytest.raises(ComplexityError):
-        marginal_pdf(law_params(8, 8, 8), 1.0)
-
-
 # ----------------------------------------------------------------- marginal
 
 
 def test_marginal_pdf_anchor_222():
-    # exact closed form from the merged coefficients: 2(1 - w + w^2)/(1+w)^4
+    # four permutation pairs with B(3,1) = 1/3, B(2,2) = 1/6, B(1,3) = 1/3
+    # merge to +1/3, -1/3, +1/3 at exponents 0, 1, 2; with M = 6 the exact
+    # closed form is 2(1 - w + w^2)/(1+w)^4
+    assert _merged_exact(2, 0, 4) == {0: Fraction(1, 3), 1: Fraction(-1, 3), 2: Fraction(1, 3)}
     params = law_params(2, 2, 2)
     assert marginal_pdf(params, 1.0) == pytest.approx(0.125, abs=1e-12)
     for w in [0.2, 0.9, 3.7]:
@@ -267,19 +219,36 @@ def test_marginal_pdf_matches_exact_polynomial():
             assert marginal_pdf(params, w) == pytest.approx(value, rel=1e-10)
 
 
-@pytest.mark.parametrize("triple", [(6, 6, 8), (7, 9, 12), (9, 7, 12)])
-def test_kernel_matches_exact_oracle(triple):
-    # exact rational G^-1, then 60-digit evaluation on a log grid
+@pytest.mark.parametrize(
+    "triple",
+    [(2, 1, 2), (2, 2, 3), (3, 3, 3), (3, 2, 5), (4, 4, 4), (4, 3, 6), (3, 1, 4), (2, 2, 2)],
+)
+def test_marginal_pdf_matches_exact_enumeration(triple):
+    # the permutation-pair coefficients and M = 1 / integral, all rational,
+    # and every float point is a dyadic rational: the reference is exact
     params = law_params(*triple)
+    exact = _merged_exact(params.l, params.t1, params.t2)
+    m_const = 1 / _norm_exact(params.l, params.t1, params.t2)
+    grid = np.geomspace(1e-3, 1e3, 21)
+    ref = []
+    for w in grid:
+        x = Fraction(float(w))
+        ref.append(float(m_const * sum(c * x**e for e, c in exact.items()) / (1 + x) ** params.t2))
+    ref = np.array(ref)
+    for evaluator in (marginal_pdf, marginal_pdf_reciprocal):
+        np.testing.assert_allclose(evaluator(params, grid), ref, rtol=1e-11, atol=0.0)
+
+
+def _kernel_oracle(params, points):
+    """Density and CDF at ``points`` from the exact rational G^-1, in 60 digits."""
     t1, t2 = params.t1, params.t2
-    grid = np.geomspace(1e-3, 1e3, 61)
     with mpmath.workdps(60):
         coeffs = [
             mpmath.mpf(c.numerator) / c.denominator
             for c in _kernel_exact(params.l, t1, t2)
         ]
         pdf_ref, cdf_ref = [], []
-        for w in grid:
+        for w in points:
             x = mpmath.mpf(float(w))
             pdf_ref.append(
                 sum(c * x ** (t1 + e) for e, c in enumerate(coeffs)) * (1 + x) ** -t2
@@ -290,11 +259,35 @@ def test_kernel_matches_exact_oracle(triple):
                     for e, c in enumerate(coeffs)
                 )
             )
-        pdf_ref = np.array([float(v) for v in pdf_ref])
-        cdf_ref = np.array([float(v) for v in cdf_ref])
+        return (
+            np.array([float(v) for v in pdf_ref]),
+            np.array([float(v) for v in cdf_ref]),
+        )
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [(6, 6, 8), (7, 9, 12), (9, 7, 12), (8, 10, 12), (10, 12, 11), (15, 15, 16), (14, 7, 38)],
+)
+def test_kernel_matches_exact_oracle(triple):
+    # exact rational G^-1, then 60-digit evaluation on a log grid; the last
+    # four triples reach l = 8, 10 and 15, and t2 = 45
+    params = law_params(*triple)
+    grid = np.geomspace(1e-3, 1e3, 61)
+    pdf_ref, cdf_ref = _kernel_oracle(params, grid)
     for evaluator in (marginal_pdf, marginal_pdf_reciprocal):
         assert np.all(np.abs(evaluator(params, grid) - pdf_ref) <= 1e-10 * pdf_ref)
     assert np.all(np.abs(marginal_cdf(params, grid) - cdf_ref) <= 1e-11)
+
+
+def test_cdf_matches_exact_oracle_at_large_exponents():
+    # t1 = 397, t2 = 903: signed monomial sums cancel past float accuracy
+    # here, so only a cancellation-free evaluation meets the tolerance
+    params = law_params(400, 3, 900)
+    points = np.array([0.8, 1.0, 1.5])
+    pdf_ref, cdf_ref = _kernel_oracle(params, points)
+    assert np.all(np.abs(marginal_pdf(params, points) - pdf_ref) <= 1e-10 * pdf_ref)
+    assert np.all(np.abs(marginal_cdf(params, points) - cdf_ref) <= 1e-11)
 
 
 def test_marginal_large_exponents_stay_in_log_domain():
@@ -332,20 +325,6 @@ def test_reciprocal_anchor_212():
     expected = 2.0 * 2.0 / 27.0  # density 2w/(1+w)^3 at w = 2
     assert marginal_pdf(params, 2.0) == pytest.approx(expected, rel=1e-13)
     assert marginal_pdf_reciprocal(params, 2.0) == pytest.approx(expected, rel=1e-12)
-
-
-def test_reciprocal_terms_identical_when_exponents_coincide():
-    # p = m' = n' forces t1 = |m'-p| = 0 = n'-m' = t1', so the two
-    # evaluators share the exact term table
-    from gsvdist.laws import _coefficients
-
-    for d in (2, 3, 4):
-        params = law_params(d, d, d)
-        assert params.t1_reciprocal == params.t1 == 0
-        np.testing.assert_array_equal(
-            _coefficients(params.l, params.t1, params.t2),
-            _coefficients(params.l, params.t1_reciprocal, params.t2),
-        )
 
 
 def test_reciprocal_identity_random_params():

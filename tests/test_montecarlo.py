@@ -328,6 +328,15 @@ def test_qpower_gates():
         run_experiment(Experiment.Q_POWER_MEAN, dims=ProblemDims(2, 3, 4))
 
 
+def test_marginal_experiment_order_eight():
+    # reduced triple (9, 8, 9), so l = 8; the seed was fixed before the
+    # first run
+    dims = ProblemDims(8, 9, 9)
+    assert reduced_dims(dims).l == 8
+    report = run_experiment("marginal", dims, samples=5000, seed=0)
+    assert report.passed, report.to_dict()
+
+
 def test_normalization_experiment():
     report = run_experiment(Experiment.NORMALIZATION, reduced=ReducedDims(3, 2, 4))
     assert report.passed
