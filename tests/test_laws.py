@@ -186,10 +186,7 @@ def test_joint_pdf_arity_and_domain():
 
 
 def test_marginal_pdf_anchor_222():
-    # four permutation pairs with B(3,1) = 1/3, B(2,2) = 1/6, B(1,3) = 1/3
-    # merge to +1/3, -1/3, +1/3 at exponents 0, 1, 2; with M = 6 the exact
-    # closed form is 2(1 - w + w^2)/(1+w)^4
-    assert _merged_exact(2, 0, 4) == {0: Fraction(1, 3), 1: Fraction(-1, 3), 2: Fraction(1, 3)}
+    # exact closed form from the merged coefficients: 2(1 - w + w^2)/(1+w)^4
     params = law_params(2, 2, 2)
     assert marginal_pdf(params, 1.0) == pytest.approx(0.125, abs=1e-12)
     for w in [0.2, 0.9, 3.7]:
@@ -219,22 +216,52 @@ def test_marginal_pdf_matches_exact_polynomial():
             assert marginal_pdf(params, w) == pytest.approx(value, rel=1e-10)
 
 
-@pytest.mark.parametrize(
-    "triple",
-    [(2, 1, 2), (2, 2, 3), (3, 3, 3), (3, 2, 5), (4, 4, 4), (4, 3, 6), (3, 1, 4), (2, 2, 2)],
-)
-def test_marginal_pdf_matches_exact_enumeration(triple):
-    # the permutation-pair coefficients and M = 1 / integral, all rational,
-    # and every float point is a dyadic rational: the reference is exact
-    params = law_params(*triple)
+def _exact_pdf(params, grid) -> np.ndarray:
+    """The marginal at ``grid`` from the permutation-pair coefficients.
+
+    The coefficients and M = 1 / integral are rational, and every float
+    point is a dyadic rational: the reference is exact up to its final
+    rounding.
+    """
     exact = _merged_exact(params.l, params.t1, params.t2)
     m_const = 1 / _norm_exact(params.l, params.t1, params.t2)
-    grid = np.geomspace(1e-3, 1e3, 21)
     ref = []
     for w in grid:
         x = Fraction(float(w))
         ref.append(float(m_const * sum(c * x**e for e, c in exact.items()) / (1 + x) ** params.t2))
-    ref = np.array(ref)
+    return np.array(ref)
+
+
+def test_marginal_terms_single_permutation():
+    # l = 1: one permutation pair, so the marginal is the single term
+    # w^t1 (1+w)^-t2 / B(t1+1, t2-t1-1)
+    params = law_params(3, 1, 4)
+    assert _merged_exact(params.l, params.t1, params.t2) == {params.t1: Fraction(1)}
+    grid = np.geomspace(1e-3, 1e3, 21)
+    ref = _exact_pdf(params, grid)
+    for evaluator in (marginal_pdf, marginal_pdf_reciprocal):
+        np.testing.assert_allclose(evaluator(params, grid), ref, rtol=1e-11, atol=0.0)
+
+
+def test_marginal_terms_merged_l2_anchor():
+    # four permutation pairs with B(3,1) = 1/3, B(2,2) = 1/6, B(1,3) = 1/3
+    # merge to +1/3, -1/3, +1/3 at exponents 0, 1, 2
+    params = law_params(2, 2, 2)  # l=2, t1=0, t2=4
+    expected = {0: Fraction(1, 3), 1: Fraction(-1, 3), 2: Fraction(1, 3)}
+    assert _merged_exact(2, 0, 4) == expected
+    grid = np.array([0.2, 0.9, 1.0, 3.7])
+    # M = 6: the integral of (1 - w + w^2)/(3 (1+w)^4) over (0, inf) is 1/6
+    ref = [6.0 * sum(float(c) * w**e for e, c in expected.items()) / (1.0 + w) ** 4 for w in grid]
+    for evaluator in (marginal_pdf, marginal_pdf_reciprocal):
+        np.testing.assert_allclose(evaluator(params, grid), ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("triple", [(2, 1, 2), (2, 2, 3), (3, 3, 3), (3, 2, 5), (4, 4, 4), (4, 3, 6)])
+def test_marginal_terms_match_exact_enumeration(triple):
+    # the density the permutation-pair terms sum to, at 1e-11 relative
+    params = law_params(*triple)
+    grid = np.geomspace(1e-3, 1e3, 21)
+    ref = _exact_pdf(params, grid)
     for evaluator in (marginal_pdf, marginal_pdf_reciprocal):
         np.testing.assert_allclose(evaluator(params, grid), ref, rtol=1e-11, atol=0.0)
 
@@ -325,6 +352,24 @@ def test_reciprocal_anchor_212():
     expected = 2.0 * 2.0 / 27.0  # density 2w/(1+w)^3 at w = 2
     assert marginal_pdf(params, 2.0) == pytest.approx(expected, rel=1e-13)
     assert marginal_pdf_reciprocal(params, 2.0) == pytest.approx(expected, rel=1e-12)
+
+
+def test_reciprocal_terms_identical_when_exponents_coincide():
+    # p = m' = n' forces t1 = |m'-p| = 0 = n'-m' = t1', so the two
+    # evaluators share the exact recurrence table, and the reflection
+    # u -> 1 - u only flips the sign of the odd-degree p_k
+    from gsvdist.laws import _recurrence
+
+    grid = np.geomspace(1e-3, 1e3, 21)
+    for d in (2, 3, 4):
+        params = law_params(d, d, d)
+        assert params.t1_reciprocal == params.t1 == 0
+        assert _recurrence(params.l, params.t1, params.t1_reciprocal) == _recurrence(
+            params.l, params.t1_reciprocal, params.t1
+        )
+        np.testing.assert_allclose(
+            marginal_pdf_reciprocal(params, grid), marginal_pdf(params, grid), rtol=1e-12, atol=0.0
+        )
 
 
 def test_reciprocal_identity_random_params():
