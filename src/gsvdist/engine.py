@@ -8,11 +8,14 @@ and a complementary block.  The squared generalized singular values are
 ``w_i = alpha_i^2 / beta_i^2``; their count ``s`` and the block sizes are pure
 functions of the dimension triple.
 
-The spectrum comes from the QR-then-CS route: whenever s >= 1 the stack
-``[a; c]`` has full column rank, so the Q factor of its Householder QR spans
-its left singular subspace, and the alphas are singular values of Q's top m
-rows.  Single-pair functions are the batch-of-one case of the private
-batched kernels that the samplers call.
+Three private batched kernels do the numerical work; each serves one
+sampler and, as its batch of one, one single-pair function.
+``_stack_cosines`` is the QR-then-CS route: whenever s >= 1 the stack
+``[a; c]`` has full column rank, and the alphas are the singular values of
+the top m rows of its Q factor.  ``_stack_ratio`` gives the eigenvalues of
+``x^H (y y^H)^{-1} x`` by a Cholesky solve, and ``_stack_power`` the trace
+of the inverse of the smaller stacked Gram.  The last two share
+``_stack_cholesky``, the one rank test of a Gram.
 
 The standing assumption is ``q >= m`` (callers with a short second factor
 should swap arguments themselves; there is no silent reciprocal mapping).
@@ -25,7 +28,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     DecompositionError,
     DegeneracyError,
@@ -182,10 +184,19 @@ class GsvdFactors:
     structure: GsvdStructure
 
 
+def _as_matrix(mat) -> np.ndarray:
+    a = np.asarray(mat)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise DimensionError(f"expected a 2-d matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DimensionError("matrix contains non-finite entries")
+    return a.astype(np.complex128, copy=False)
+
+
 def _pair_stack(a, c) -> tuple[ProblemDims, np.ndarray]:
     """Validated dimensions of a pair and its complex stack ``[a; c]``."""
-    a = linalg._as_matrix(a)
-    c = linalg._as_matrix(c)
+    a = _as_matrix(a)
+    c = _as_matrix(c)
     if a.shape[1] != c.shape[1]:
         raise DimensionError(
             f"column counts differ: a is {a.shape}, c is {c.shape}"
@@ -235,6 +246,51 @@ def _stack_cosines(b: np.ndarray, m: int, st: GsvdStructure):
     return alphas, full_rank & classified, full_rank
 
 
+def _stack_cholesky(gram: np.ndarray):
+    """Cholesky factors of Hermitian Grams (count, d, d) and their rank mask.
+
+    The mask is ``min|L_ii|^2 > RANK_TOL * max|L_ii|^2``; squared pivots lie
+    in [lambda_min, lambda_max], so it rejects only Grams that the test
+    ``lambda_min > RANK_TOL * lambda_max`` rejects too.  A Gram that Cholesky
+    refuses sends the batch through that test, and each rejected row
+    factors the identity instead.
+    """
+    try:
+        chol = np.linalg.cholesky(gram)
+        ok = True
+    except np.linalg.LinAlgError:
+        evals = np.linalg.eigvalsh(gram)
+        ok = evals[:, 0] > RANK_TOL * evals[:, -1]
+        chol = np.linalg.cholesky(np.where(ok[:, None, None], gram, np.eye(gram.shape[-1])))
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1).real  # positive by construction
+    return chol, ok & (pivots.min(axis=-1) ** 2 > RANK_TOL * pivots.max(axis=-1) ** 2)
+
+
+def _stack_ratio(x: np.ndarray, y: np.ndarray, l: int):
+    """The ``l`` largest eigenvalues of ``x^H (y y^H)^{-1} x``, descending.
+
+    ``x`` is (count, d, p) and ``y`` (count, d, n').  The matrix is ``z^H z``
+    with ``z = L^{-1} x`` and ``L L^H = y y^H``, Hermitian by construction;
+    the mask adds finite, positive values to the Cholesky rank test.
+    """
+    chol, ok = _stack_cholesky(y @ y.conj().transpose(0, 2, 1))
+    z = np.linalg.solve(chol, x)
+    w = np.linalg.eigvalsh(z.conj().transpose(0, 2, 1) @ z)[:, ::-1][:, :l]
+    return w, ok & np.all(w > 0.0, axis=1) & np.all(np.isfinite(w), axis=1)
+
+
+def _stack_power(b: np.ndarray):
+    """``trace(G^{-1}) = ||L^{-1}||_F^2`` per stack, ``b`` of shape (count, m+q, n).
+
+    ``G = L L^H`` is the smaller of the two Gram products; returns the
+    Cholesky rank mask as well.
+    """
+    bh = b.conj().transpose(0, 2, 1)
+    chol, ok = _stack_cholesky(bh @ b if b.shape[2] <= b.shape[1] else b @ bh)
+    inv = np.linalg.inv(chol).view(np.float64)
+    return np.einsum("bij,bij->b", inv, inv), ok
+
+
 def gsvd_spectrum(a, c) -> GsvdSpectrum:
     """Squared generalized singular values via the QR-then-CS route.
 
@@ -264,11 +320,10 @@ def gsvd_spectrum(a, c) -> GsvdSpectrum:
 def gsvd_spectrum_direct(a, c) -> GsvdSpectrum:
     """Independent spectrum oracle through the Gram-inverse route.
 
-    Only valid when ``q >= n`` (so the Gram matrix of ``c`` is invertible):
-    the w values are the nonzero eigenvalues of ``a (c^H c)^{-1} a^H``,
-    computed by a Hermitian positive-definite solve followed by an
-    eigendecomposition.  Kept deliberately separate from the QR-then-CS
-    path so the two can cross-check each other.
+    Only valid when ``q >= n``: the w values are the s largest eigenvalues
+    of ``a (c^H c)^{-1} a^H``, the F-matrix sampler's ratio kernel at ``x =
+    a^H``, ``y = c^H``.  Kept apart from the QR-then-CS path so the two can
+    cross-check each other; a ``c^H c`` failing the rank test raises.
     """
     dims, b = _pair_stack(a, c)
     st = compute_structure(dims)
@@ -276,17 +331,11 @@ def gsvd_spectrum_direct(a, c) -> GsvdSpectrum:
         raise RegimeError(
             f"gram-inverse route needs q >= n, got q = {dims.q}, n = {dims.n}"
         )
-    a, c = b[: dims.m], b[dims.m :]
-    gram = c.conj().T @ c
-    solved = linalg.solve_hermitian_posdef(gram, a.conj().T)
-    ratio = a @ solved
-    ratio = 0.5 * (ratio + ratio.conj().T)
-    evals, _ = np.linalg.eigh(ratio)
-    w = evals[::-1][: st.s]
-    if np.any(w <= 0.0):
-        raise DecompositionError("nonpositive eigenvalue in the ratio matrix")
-    alphas = np.sqrt(w / (1.0 + w))
-    return _spectrum_from_alphas(alphas)
+    bh = b.conj().T[None]
+    w, ok = _stack_ratio(bh[:, :, : dims.m], bh[:, :, dims.m :], st.s)
+    if not ok[0]:
+        raise DecompositionError("c^H c fails the rank test, or some w <= 0")
+    return _spectrum_from_alphas(np.sqrt(w[0] / (1.0 + w[0])))
 
 
 def gsvd_factorize(a, c) -> GsvdFactors:
@@ -314,7 +363,6 @@ def gsvd_factorize(a, c) -> GsvdFactors:
     if sb[k - 1] <= RANK_TOL * sb[0]:
         raise DecompositionError("stacked pair is rank deficient")
     pk = p_full[:, :k]
-    sigma_b = sb[:k]
 
     u_cs, sv1, wh = np.linalg.svd(pk[:m, :], full_matrices=True)
     if not _classify(sv1, st)[1]:  # count check only; values reused below
@@ -327,25 +375,18 @@ def gsvd_factorize(a, c) -> GsvdFactors:
     norms = np.linalg.norm(t, axis=0)
     if np.any(norms[r:] <= ZERO_TOL):
         raise DegeneracyError("sine value vanished for a non-identity column")
-    v_cs = np.empty((q, q), dtype=np.complex128)
     det_count = k - r
-    v_cs[:, q - det_count :] = t[:, r:] / norms[r:]
-    if q > det_count:
-        v_cs[:, : q - det_count] = linalg.orthonormal_completion(
-            v_cs[:, q - det_count :], q
-        )
+    sines = t[:, r:] / norms[r:]
+    # a complete QR of the orthonormal sine columns appends their complement
+    v_cs = np.hstack([np.linalg.qr(sines, mode="complete")[0][:, det_count:], sines])
 
     sigma_a = np.zeros((m, k))
-    idx = np.arange(r + s)
-    sigma_a[idx, idx] = sv1[: r + s]
+    sigma_a[: r + s, : r + s] = np.diag(sv1[: r + s])
     sigma_c = np.zeros((q, k))
-    rows = (q - det_count) + np.arange(det_count)
-    cols = r + np.arange(det_count)
-    sigma_c[rows, cols] = norms[r:]
+    sigma_c[q - det_count :, r:] = np.diag(norms[r:])
 
-    qk = rh_full[:k, :].conj().T
     qmat = np.zeros((n, n), dtype=np.complex128)
-    qmat[:, :k] = qk @ (wmat / sigma_b[:, None])
+    qmat[:, :k] = rh_full[:k].conj().T @ (wmat / sb[:k, None])
 
     factors = GsvdFactors(
         u=u_cs.conj().T,
@@ -385,25 +426,12 @@ def _validate_factors(f: GsvdFactors, a: np.ndarray, c: np.ndarray) -> None:
             )
 
 
-def _stack_power(b: np.ndarray):
-    """Right-factor power of a batch of stacks ``b``, shape (count, m+q, n).
-
-    Returns, per row, the sum of reciprocal eigenvalues of the smaller of the
-    two Gram products, and the mask of rows with ``lambda_min > RANK_TOL *
-    lambda_max``.
-    """
-    bh = b.conj().transpose(0, 2, 1)
-    evals = np.linalg.eigvalsh(bh @ b if b.shape[2] <= b.shape[1] else b @ bh)
-    ok = evals[:, 0] > RANK_TOL * evals[:, -1]
-    return np.sum(1.0 / np.where(ok[:, None], evals, 1.0), axis=1), ok
-
-
 def q_power_trace(a, c) -> float:
     """Power of the shared right factor: sum of reciprocal stack eigenvalues.
 
-    Equals ``trace(qmat qmat^H)`` of the explicit factorization, but is
-    computed directly from the k nonzero eigenvalues of the stacked Gram
-    matrix (taking whichever of the two Gram products is smaller).
+    Equals ``trace(qmat qmat^H)`` of the explicit factorization, computed as
+    ``trace(G^{-1})`` of the smaller stacked Gram by the power sampler's
+    Cholesky kernel.
     """
     dims, b = _pair_stack(a, c)
     if dims.m + dims.q == dims.n:
@@ -413,7 +441,7 @@ def q_power_trace(a, c) -> float:
     totals, ok = _stack_power(b[None])
     if not ok[0]:
         raise SingularityError(
-            f"near-singular stack: lambda_min <= {RANK_TOL:g} * lambda_max"
+            f"near-singular stack: min|L_ii|^2 <= {RANK_TOL:g} * max|L_ii|^2"
         )
     return float(totals[0])
 

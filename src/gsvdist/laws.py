@@ -255,9 +255,13 @@ def marginal_pdf_reciprocal(params: LawParams, w):
     """Marginal density through the reciprocal-argument identity.
 
     The reflection ``u -> 1 - u = 1/(1+w)`` swaps the Jacobi exponents, so
-    this evaluates the kernel of ``u^(n'-m') (1-u)^t1`` at ``1/(1+w)``.  It
-    agrees with :func:`marginal_pdf` to within roundoff, which makes the pair
-    a mutual consistency check of the recurrence.
+    this evaluates the kernel of ``u^(n'-m') (1-u)^t1`` at ``1/(1+w)``.  The
+    swapped recurrence has ``alpha'_k = 1 - alpha_k`` and the same
+    ``beta_k``, so ``p'_k(1-u) = (-1)^k p_k(u)``: both evaluators sum the
+    same squares, rounded differently.  Their agreement checks the
+    reflection and the argument mapping, not the recurrence, which a wrong
+    coefficient would corrupt on both sides alike; the law itself is
+    checked against exact oracles.
     """
     return _density(params, w, params.t1_reciprocal, params.t1, lambda w: 1.0 / (1.0 + w))
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from .engine import (
     ONE_TOL,
-    RANK_TOL,
     ZERO_TOL,
     ProblemDims,
     ReducedDims,
@@ -39,6 +38,7 @@ from .engine import (
     _classify,
     _stack_cosines,
     _stack_power,
+    _stack_ratio,
     compute_structure,
     expected_q_power,
     reduced_dims,
@@ -210,9 +210,10 @@ def sample_w_fmatrix(
     """Eigenvalue draws of the Gaussian ratio ensemble at reduced dimensions.
 
     Per draw: Gaussian ``x`` (m' x p) and ``y`` (m' x n'); the values are the
-    ``l = min(p, m')`` nonzero eigenvalues of ``x^H (y y^H)^{-1} x``, formed
-    through a Cholesky solve so the product is Hermitian by construction.
-    A draw whose ``y y^H`` is singular is discarded and counted on its own.
+    ``l = min(p, m')`` nonzero eigenvalues of ``x^H (y y^H)^{-1} x``, from the
+    engine's batched Cholesky-solve kernel, the one behind
+    :func:`gsvd_spectrum_direct`.  A draw whose ``y y^H`` fails the Cholesky
+    rank test is discarded and counted on its own.
     """
     mp, p, npr = rdims.m_prime, rdims.p, rdims.n_prime
     l = rdims.l
@@ -220,21 +221,8 @@ def sample_w_fmatrix(
     def draw(gen, want):
         x = sample_ginibre(mp, p, gen, count=want)
         y = sample_ginibre(mp, npr, gen, count=want)
-        gram = y @ y.conj().transpose(0, 2, 1)
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            # a singular Gram matrix has probability zero; drop only its
-            # draws, keeping rows conditioned well enough for Cholesky
-            evals = np.linalg.eigvalsh(gram)
-            posdef = evals[:, 0] > RANK_TOL * evals[:, -1]
-            x, chol = x[posdef], np.linalg.cholesky(gram[posdef])
-        z = np.linalg.solve(chol, x)
-        ratio = z.conj().transpose(0, 2, 1) @ z
-        evals = np.linalg.eigvalsh(ratio)
-        w = evals[:, ::-1][:, :l]
-        ok = np.all(w > 0.0, axis=1) & np.all(np.isfinite(w), axis=1)
-        return w[ok], want - int(np.count_nonzero(ok))
+        w, ok = _stack_ratio(x, y, l)
+        return w[ok], int(np.count_nonzero(~ok))
 
     return _run_batch(
         SamplerId.F_MATRIX, rdims.as_tuple(), l, draw, count, rng, workers

@@ -21,7 +21,7 @@ from gsvdist import (
     sample_ginibre,
     sample_haar_unitary,
 )
-from gsvdist.engine import _stack_cosines
+from gsvdist.engine import _stack_cosines, _stack_power, _stack_ratio
 from gsvdist.errors import (
     DecompositionError,
     DegeneracyError,
@@ -165,6 +165,19 @@ def test_direct_route_regime_restriction():
         gsvd_spectrum_direct(a, c)
 
 
+def test_direct_route_rejects_rank_deficient_gram():
+    # q >= n with c of rank < n: one Gram the Cholesky factorization refuses,
+    # and one it factors with a pivot below the rank test
+    gen = RngStream(9).generator()
+    a = sample_ginibre(2, 4, gen)
+    c = sample_ginibre(5, 2, gen) @ sample_ginibre(2, 4, gen)
+    with pytest.raises(DecompositionError):
+        gsvd_spectrum_direct(a, c)
+    c = np.array([[1.0, 0.0], [0.0, 1e-7], [0.0, 0.0]])
+    with pytest.raises(DecompositionError):
+        gsvd_spectrum_direct(np.ones((2, 2)), c)
+
+
 def test_spectrum_rejects_rank_deficient_stack():
     col = np.ones((5, 1), dtype=complex)
     row = np.ones((1, 4), dtype=complex)
@@ -220,6 +233,40 @@ def test_stack_kernel_masks_only_the_rank_deficient_row():
     assert alphas.shape == (4, st_.s)
     np.testing.assert_array_equal(ok, [True, True, False, True])
     np.testing.assert_array_equal(full_rank, ok)
+
+
+def test_ratio_kernel_masks_only_the_zero_y_row():
+    gen = RngStream(18).generator()
+    x = sample_ginibre(3, 2, gen, count=4)
+    y = sample_ginibre(3, 4, gen, count=4)
+    y[1] = 0.0
+    w, ok = _stack_ratio(x, y, 2)
+    assert w.shape == (4, 2)
+    np.testing.assert_array_equal(ok, [True, False, True, True])
+
+
+def test_power_kernel_masks_only_the_zero_stack_row():
+    gen = RngStream(19).generator()
+    for rows, cols in [(5, 2), (4, 8)]:
+        b = sample_ginibre(rows, cols, gen, count=4)
+        b[3] = 0.0
+        totals, ok = _stack_power(b)
+        assert totals.shape == (4,)
+        np.testing.assert_array_equal(ok, [True, True, True, False])
+
+
+def test_power_kernel_matches_reciprocal_eigenvalue_sum():
+    # 1000 random non-square stacks with dims <= 8 (q_power_trace refuses
+    # square ones), against the sum of reciprocal Gram eigenvalues
+    gen = RngStream(20).generator()
+    for _ in range(1000):
+        rows, cols = (int(v) for v in gen.choice(np.arange(1, 9), 2, replace=False))
+        b = sample_ginibre(rows, cols, gen)
+        gram = b.conj().T @ b if cols < rows else b @ b.conj().T
+        totals, ok = _stack_power(b[None])
+        assert ok[0]
+        ref = np.sum(1.0 / np.linalg.eigvalsh(gram))
+        assert abs(totals[0] - ref) <= 1e-10 * ref
 
 
 def test_spectrum_rejects_cosine_in_zero_dead_zone():

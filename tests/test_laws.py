@@ -373,7 +373,8 @@ def test_reciprocal_terms_identical_when_exponents_coincide():
 
 
 def test_reciprocal_identity_random_params():
-    # 20 random triples with l <= 4, 100 log-spaced points each
+    # 20 random triples with l <= 4, 100 log-spaced points each, both
+    # against each other and against the exact rational density
     gen = np.random.default_rng(2718)
     grid = np.geomspace(1e-3, 1e3, 100)
     for _ in range(20):
@@ -385,6 +386,10 @@ def test_reciprocal_identity_random_params():
         mirrored = marginal_pdf_reciprocal(params, grid)
         tol = 1e-9 * np.maximum(direct, 1e-300)
         assert np.all(np.abs(direct - mirrored) <= tol)
+        # one recurrence serves both evaluators, so only the exact law checks it
+        ref = _exact_pdf(params, grid)
+        np.testing.assert_allclose(direct, ref, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(mirrored, ref, rtol=1e-11, atol=0.0)
 
 
 # ---------------------------------------------------------------------- cdf

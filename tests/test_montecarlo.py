@@ -30,7 +30,7 @@ from gsvdist import (
     scalar_samples,
 )
 from gsvdist.errors import DegeneracyError, DimensionError, RegimeError
-from gsvdist.montecarlo import _run_batch, ks_critical_constant
+from gsvdist.montecarlo import _chunk_sizes, _run_batch, ks_critical_constant
 
 
 # ----------------------------------------------------------------- samplers
@@ -101,6 +101,28 @@ def test_fmatrix_singular_gram_discards_only_its_draw(monkeypatch):
     batch = mc.sample_w_fmatrix(rdims, 2000, RngStream(3))
     assert zeroed and batch.failures == 1
     assert batch.values.shape == (2000, 2) and np.all(batch.values > 0.0)
+
+
+@pytest.mark.parametrize("triple", [(3, 4, 5), (10, 6, 12)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fmatrix_matches_the_inline_formula_bit_for_bit(triple, workers):
+    # the ratio eigenvalues written out step by step (Cholesky of y y^H, a
+    # solve, z^H z, eigvalsh), chunk i drawn from substream i
+    rdims = ReducedDims(*triple)
+    count, rng = 600, RngStream(5)
+    batch = sample_w_fmatrix(rdims, count, rng, workers=workers)
+    chunks = []
+    for i, size in enumerate(_chunk_sizes(count, workers)):
+        gen = rng.substream(i).generator()
+        x = sample_ginibre(rdims.m_prime, rdims.p, gen, count=size)
+        y = sample_ginibre(rdims.m_prime, rdims.n_prime, gen, count=size)
+        z = np.linalg.solve(np.linalg.cholesky(y @ y.conj().transpose(0, 2, 1)), x)
+        evals = np.linalg.eigvalsh(z.conj().transpose(0, 2, 1) @ z)
+        chunks.append(evals[:, ::-1][:, : rdims.l])
+    assert batch.failures == 0
+    np.testing.assert_array_equal(
+        batch.values.view(np.uint64), np.concatenate(chunks).view(np.uint64)
+    )
 
 
 def test_fmatrix_scalar_case_positive():

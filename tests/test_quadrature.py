@@ -1,5 +1,8 @@
 """Half-line quadrature oracle anchors."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,3 +42,20 @@ def test_divergent_integrand_raises():
 def test_bad_tolerance_rejected():
     with pytest.raises(ValueError):
         quadrature_integrate(lambda w: np.exp(-w), 0.0)
+
+
+def test_only_the_quadrature_oracle_imports_scipy():
+    # scipy is a dependency of the normalization oracle alone
+    package = Path(__file__).resolve().parents[1] / "src" / "gsvdist"
+    importers = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(mod.split(".")[0] == "scipy" for mod in modules):
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"quadrature.py"}
