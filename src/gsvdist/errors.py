@@ -26,6 +26,10 @@ class SingularityError(DecompositionError):
     """An eigenvalue fell below the near-singularity floor."""
 
 
+class ParameterError(GsvdistError, ValueError):
+    """A scalar setting, such as a test level, lies outside its valid range."""
+
+
 class PoleError(GsvdistError, ValueError):
     """Special-function argument at or beyond a pole."""
 

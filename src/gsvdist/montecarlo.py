@@ -44,7 +44,7 @@ from .engine import (
     reduced_dims,
 )
 from .ensembles import RngStream, sample_ginibre, sample_haar_unitary
-from .errors import DegeneracyError, DimensionError, RegimeError
+from .errors import DegeneracyError, DimensionError, ParameterError, RegimeError
 from .laws import LawParams, law_params, marginal_cdf, marginal_pdf
 from .quadrature import quadrature_integrate
 
@@ -340,12 +340,16 @@ class MeanReport:
         return asdict(self)
 
 
+def _check_alpha(alpha_level: float) -> None:
+    if not 0.0 < alpha_level < 1.0:
+        raise ParameterError(f"alpha must be in (0, 1), got {alpha_level}")
+
+
 def ks_critical_constant(alpha_level: float) -> float:
     """c(alpha) with the two standard levels pinned to their textbook values."""
     if alpha_level in KS_CRITICAL_CONSTANTS:
         return KS_CRITICAL_CONSTANTS[alpha_level]
-    if not 0.0 < alpha_level < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha_level}")
+    _check_alpha(alpha_level)
     return sqrt(-np.log(alpha_level / 2.0) / 2.0)
 
 
@@ -505,6 +509,7 @@ _SAMPLING = {
 
 
 def _sampling_checks(experiment, dims, samples, seed, workers, alpha_level):
+    _check_alpha(alpha_level)
     if dims is None:
         raise RegimeError(f"{experiment.value} experiment needs pair dimensions")
     spec = _SAMPLING[experiment]
@@ -567,8 +572,9 @@ def run_experiment(
     dimensions ``dims`` and draw each batch they test once, batch ``(source,
     i)`` from ``RngStream(seed, i)``.  A missing input, ``s = 0`` where the
     reduced triple is read, or a mean test closer than ``MEAN_TEST_MIN_GAP``
-    to ``m + q = n`` raises :class:`RegimeError` before any draw.  The report
-    is bit-identical across runs for fixed (seed, workers).
+    to ``m + q = n`` raises :class:`RegimeError` before any draw, and an
+    ``alpha_level`` outside (0, 1) raises :class:`ParameterError` there.
+    The report is bit-identical across runs for fixed (seed, workers).
     """
     experiment = Experiment(experiment)
     start = time.perf_counter()

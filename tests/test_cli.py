@@ -167,6 +167,16 @@ def test_verify_regime_mismatch_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("experiment, dims", [("marginal", "232"), ("qpower", "228")])
+def test_verify_bad_alpha_exit_code(capsys, experiment, dims):
+    m, q, n = dims
+    code = main(["verify", experiment, "--m", m, "--q", q, "--n", n, "--alpha", "1.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "alpha must be in (0, 1), got 1.5" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, flags",
     [

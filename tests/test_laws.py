@@ -416,6 +416,52 @@ def test_cdf_monotone():
     assert np.all((values >= 0.0) & (values <= 1.0))
 
 
+@pytest.mark.parametrize("a, b", [(0, 0), (3, 9), (40, 2)])
+def test_cdf_single_eigenvalue_is_the_beta_cdf(a, b):
+    # l = 1: the Jacobi sum is empty and the CDF is I_u(a+1, b+1) alone
+    params = law_params(1, 1 + a, 1 + b)
+    assert (params.l, params.t1, params.t1_reciprocal) == (1, a, b)
+    grid = np.geomspace(1e-3, 1e3, 61)
+    with mpmath.workdps(40):
+        ref = [
+            float(mpmath.betainc(a + 1, b + 1, 0, x / (1 + x), regularized=True))
+            for x in (mpmath.mpf(float(w)) for w in grid)
+        ]
+    np.testing.assert_allclose(marginal_cdf(params, grid), ref, rtol=0.0, atol=1e-14)
+
+
+def test_cdf_matches_exact_oracle_at_unbalanced_exponents():
+    # a = 48, b = 70: the Beta part and the Jacobi sum both carry weight
+    params = law_params(50, 2, 120)
+    grid = np.geomspace(1e-3, 1e3, 61)
+    _, cdf_ref = _kernel_oracle(params, grid)
+    assert np.all(np.abs(marginal_cdf(params, grid) - cdf_ref) <= 1e-11)
+
+
+def test_cdf_monotone_on_the_cli_grid():
+    # the default CLI grid, every triple 1 <= m', p <= 6, m' <= n' <= 8:
+    # values in [0, 1] and no decrease at all between neighbouring points
+    grid = np.geomspace(1e-3, 1e3, 200)
+    for m_prime in range(1, 7):
+        for p in range(1, 7):
+            for n_prime in range(m_prime, 9):
+                values = marginal_cdf(law_params(m_prime, p, n_prime), grid)
+                assert np.all((values >= 0.0) & (values <= 1.0)), (m_prime, p, n_prime)
+                assert np.all(np.diff(values) >= 0.0), (m_prime, p, n_prime)
+
+
+@pytest.mark.parametrize("triple", [(1, 1, 1), (3, 1, 4), (2, 5, 3), (6, 6, 8)])
+def test_cdf_scalar_matches_array_and_endpoints_are_exact(triple):
+    params = law_params(*triple)
+    grid = np.geomspace(1e-4, 1e4, 101)
+    values = marginal_cdf(params, grid)
+    scalars = np.array([marginal_cdf(params, float(w)) for w in grid])
+    np.testing.assert_array_equal(scalars, values)
+    assert marginal_cdf(params, 0.0) == 0.0
+    assert marginal_cdf(params, np.inf) == 1.0
+    np.testing.assert_array_equal(marginal_cdf(params, np.array([0.0, np.inf])), [0.0, 1.0])
+
+
 @pytest.mark.parametrize("triple", [(2, 2, 2), (3, 1, 4), (3, 3, 4), (4, 2, 5)])
 def test_cdf_matches_quadrature_of_pdf(triple):
     # independent numeric path: integrate the density directly

@@ -29,7 +29,7 @@ from gsvdist import (
     sample_w_gsvd,
     scalar_samples,
 )
-from gsvdist.errors import DegeneracyError, DimensionError, RegimeError
+from gsvdist.errors import DegeneracyError, DimensionError, ParameterError, RegimeError
 from gsvdist.montecarlo import _chunk_sizes, _run_batch, ks_critical_constant
 
 
@@ -404,6 +404,31 @@ def test_experiments_resolve_samplers_at_call_time(monkeypatch):
         calls.clear()
         run_experiment(experiment, dims=ProblemDims(*dims), samples=200, seed=0)
         assert calls == want, experiment
+
+
+def test_experiments_reject_bad_alpha_before_any_draw(monkeypatch):
+    import gsvdist.montecarlo as mc
+
+    calls = []
+
+    def counting(name):
+        real = getattr(mc, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("sample_w_gsvd", "sample_w_fmatrix", "sample_alpha_haar", "sample_q_power"):
+        monkeypatch.setattr(mc, name, counting(name))
+    cases = {"equivalence": (2, 3, 2), "marginal": (2, 3, 2), "haar": (2, 3, 4), "qpower": (2, 2, 8)}
+    for experiment, dims in cases.items():
+        for alpha in (1.5, 0.0, 1.0, -0.01, float("nan")):
+            with pytest.raises(ParameterError, match="alpha"):
+                run_experiment(experiment, dims=ProblemDims(*dims), samples=200, alpha_level=alpha)
+    assert calls == []
+    assert issubclass(ParameterError, ValueError)
 
 
 def test_report_determinism():
