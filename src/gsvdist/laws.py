@@ -25,32 +25,40 @@ Every term is a square, so nothing cancels, and any ``l`` is allowed.  The
 reciprocal identity is the reflection ``u -> 1 - u = 1/(1+w)``, which swaps
 ``a`` and ``b``.
 
-The CDF is closed form.  With ``q_k`` the orthonormal Jacobi polynomials
-of ``u^(a+1) (1-u)^(b+1)`` and ``I`` the regularized incomplete Beta
-function,
+The CDF is closed form.  With ``pu = a + 1 - s``, ``pv = b + 1 - t``
+(normally ``s = t = 0``), ``q_k`` the orthonormal Jacobi polynomials of
+``u^pu (1-u)^pv`` and ``I`` the regularized incomplete Beta function,
 
-    F(w) = I_u(a+1, b+1) + u^(a+1) (1-u)^(b+1) * sum_{k<=2l-3} e_k q_k(u).
+    F(w) = I_u(pu, pv) + u^pu (1-u)^pv * sum_{k<=2l-3+s+t} e_k q_k(u).
 
-The kernel minus its Beta part, ``(1/l) sum_{k<l} p_k^2 - p_0^2``, has
-degree ``2l - 2`` and no constant term in the ``p_j``; its coefficients
-``c_j`` come from the Gauss rule of the weight in matrix form (column
-``k`` of ``p_k(J)`` holds those of ``p_k^2``, exactly).  The Rodrigues
-identity (DLMF 18.9; Szegő, *Orthogonal Polynomials*, §4.21)
+The density is ``u^(pu-1) (1-u)^(pv-1)`` times the polynomial
+``u^s (1-u)^t (1/l) sum_{k<l} p_k^2``, whose coefficients ``c_j`` in the
+orthonormal family ``r_j`` of ``u^(pu-1) (1-u)^(pv-1)`` come exactly from
+the Gauss rule of ``u^a (1-u)^b`` in matrix form.  ``c_0`` gives the Beta
+CDF, and the Rodrigues identity (DLMF 18.9; Szegő, *Orthogonal
+Polynomials*, §4.21)
 
-    d/du [u^(a+1) (1-u)^(b+1) q_{j-1}] = -sqrt(j (j+a+b+1)) u^a (1-u)^b p_j
+    d/du [u^pu (1-u)^pv q_{j-1}] = -sqrt(j (j+pu+pv-1)) u^(pu-1) (1-u)^(pv-1) r_j
 
-integrates each term, so ``e_{j-1} = -c_j / sqrt(j (j+a+b+1))``; the
-``e_k`` are cached per ``(l, a, b)`` and the sum runs by Clenshaw on the
-recurrence.  For integer exponents ``I_u(a+1, b+1)`` is the binomial tail
-``sum_{j>a} C(n, j) u^j (1-u)^(n-j)``, ``n = a + b + 1``.  Below
-``w = (a+1)/(b+1)`` (the mean of ``u`` under the Beta weight) those
-terms fall with ``j``; above it the terms ``j <= a`` fall, and ``F`` is one
-minus their sum minus the correction, which keeps values near one
-accurate.  Either way the tail is a Horner sum with exact rational
-coefficients in (0, 1], which cannot overflow for any exponents; terms
-that sum to less than ``2^-60`` of the leading one are dropped.  A point
-costs ``2l - 3`` Clenshaw steps and at most ``max(a, b)`` Horner steps:
-145 at (400, 3, 900), 21 at ``a = 0``, ``b = 2999``.
+integrates every other term, so ``e_{j-1} = -c_j / sqrt(j (j+pu+pv-1))``.
+The ``e_k`` are cached per ``(l, a, b)`` and the sum runs by Clenshaw on
+the recurrence.  It is signed, and its rounding error is about 1e-16 times
+``sum |e_k|``.  When ``l`` and ``|a - b|`` are both large that sum is
+large (3e6 at (20, 20, 40) with ``s = t = 0``, where the error reaches
+3e-10), so past 32 ``s`` and ``t`` grow by eighths of ``a`` and ``b``:
+the weight ``u^pu (1-u)^pv`` gets flatter and the sum ``s + t`` terms
+longer, unless the longer sum would leave float range on [0, 1].
+
+For integer exponents ``I_u(pu, pv)`` is the binomial tail
+``sum_{j>=pu} C(n, j) u^j (1-u)^(n-j)``, ``n = pu + pv - 1``.  Below
+``w = pu/pv`` (the mean of ``u`` under the Beta weight) those terms fall
+with ``j``; above it the terms ``j < pu`` fall, and ``F`` is one minus
+their sum minus the correction, which keeps values near one accurate.
+Either way the tail is a Horner sum with coefficients in (0, 1], which
+cannot overflow for any exponents; terms that sum to less than ``2^-60``
+of the leading one are dropped.  A point costs ``2l - 3 + s + t``
+Clenshaw steps and fewer than ``max(pu, pv)`` Horner steps: 145 at
+(400, 3, 900), 21 at ``a = 0``, ``b = 2999``.
 
 Error bound, measured against exact rational inversion of the Hankel
 moment matrix ``G_ij = B(t1+i+j+1, t2-t1-i-j-1)`` and 60-digit mpmath on a
@@ -60,21 +68,17 @@ relative and the CDF within 2.1e-15 absolute.  The density's error grows
 with ``t2`` through the log weight, and only mildly with ``l``: on 15
 larger triples with ``l`` up to 25 and ``t2`` up to 903 (points where the
 density exceeds 1e-250) it stays below ``2e-15 * t2`` relative (1e-13 at
-(25, 25, 30), 5.1e-13 at (400, 3, 900)).  The Jacobi sum is signed, so
-the CDF's error is about the rounding unit times its condition number
-``sum |e_k q_k(u)| / |sum e_k q_k(u)|``, which grows with ``l`` and with
-``|t1 - (n' - m')|``: on those triples it is 6.7e-16 at (400, 3, 900),
-7.8e-16 at (50, 2, 120) and 2.5e-14 at (25, 25, 30), but 3.2e-11 at
-(10, 10, 300), 3.1e-10 at (20, 20, 40) and 2.0e-9 at (20, 15, 200), where
-the condition number exceeds 1e7.  Powers and Beta values stay in log
-domain throughout.
+(25, 25, 30), 5.1e-13 at (400, 3, 900)).  On those triples the CDF stays
+below 7.6e-14 absolute (1.3e-14 at (20, 15, 200), 3.8e-14 at
+(10, 10, 300), 7.6e-14 at (5, 5, 500)); at (10, 10, 1500) every lowered
+choice would overflow and the error is 7.2e-11.  Powers and Beta values
+stay in log domain throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -296,29 +300,37 @@ def marginal_pdf_reciprocal(params: LawParams, w):
     return _density(params, w, params.t1_reciprocal, params.t1, lambda w: 1.0 / (1.0 + w))
 
 
-def _jacobi_expansion(l: int, a: int, b: int) -> np.ndarray:
-    """Coefficients ``c_1..c_{2l-2}`` of ``(1/l) sum_{k<l} p_k^2 - p_0^2`` in the ``p_j``.
+def _jacobi_expansion(l: int, a: int, b: int, s: int, t: int) -> np.ndarray:
+    """Coefficients ``c_1..c_D`` of ``u^s (1-u)^t (1/l) sum_{k<l} p_k^2``.
 
-    The Gauss rule of the weight in matrix form: with ``J`` the Jacobi matrix
-    of order ``2l - 1``, column ``k`` of ``p_k(J)`` holds the coefficients
-    of ``p_k^2``, exactly because ``p_k^2`` has degree ``2k < 2l - 1``.
-    Each ``p_k(J)`` comes from the three-term recurrence on matrices, scaled
-    like :func:`_kernel` (``p_0 = 1``), so the coefficients carry a factor
-    ``B(a+1, b+1)^(1/2)``.
+    The basis is the orthonormal family ``r_j`` of ``u^(a-s) (1-u)^(b-t)``,
+    scaled like :func:`_kernel` (``r_0 = 1``), and ``D = 2l - 2 + s + t``.
+    Coefficient ``j`` is ``int u^a (1-u)^b (1/l) sum_k p_k^2 r_j``, and the
+    Gauss rule of ``u^a (1-u)^b`` in matrix form gives it exactly as
+    ``(1/l) sum_k r_j(J)_kk``, with ``J`` the Jacobi matrix of order
+    ``2l + (s+t)//2``: large enough that ``r_j(J)_kk`` for ``j <= D`` and
+    ``k < l`` never reaches its truncated last row.  ``c_0 = 1`` is left
+    out.
     """
-    size = 2 * l - 1
-    alpha, beta, _ = _recurrence(size + 1, a, b)
-    alpha, beta = np.array(alpha), np.array(beta)
-    off = beta[1:size, None]
+    degree, size = 2 * l - 2 + s + t, 2 * l + (s + t) // 2
+    length = max(degree, size) + 2
+    alpha, beta, _ = _recurrence(length, a, b)
+    ra, rb, _ = _recurrence(length, a - s, b - t)
+    off = np.diag(beta[1:size], 1)
+    jmat = np.diag(alpha[:size]) + off + off.T
     prev, cur = np.zeros((size, l)), np.eye(size, l)
-    total = cur[:, 0].copy()
-    for k in range(l - 1):
-        ju = alpha[:, None] * cur
-        ju[1:] += off * cur[:-1]
-        ju[:-1] += off * cur[1:]
-        prev, cur = cur, (ju - alpha[k] * cur - beta[k] * prev) / beta[k + 1]
-        total += cur[:, k + 1]
-    return total[1:] / l
+    coef = []
+    for j in range(degree):
+        prev, cur = cur, (jmat @ cur - ra[j] * cur - rb[j] * prev) / rb[j + 1]
+        coef.append(np.trace(cur) / l)
+    return np.array(coef)
+
+
+# largest sum |e_k| of the CDF's Jacobi sum kept without lowering the
+# exponents of its leading Beta part, and largest bound on its terms
+# (:func:`_endpoint_sum`) that a lowered choice may reach
+_SUM_LIMIT = 32.0
+_RANGE_LIMIT = 1e150
 
 
 class _CdfTable(NamedTuple):
@@ -326,9 +338,10 @@ class _CdfTable(NamedTuple):
 
     Pairs hold the value below the split, then above it.  ``horner`` lists
     the binomial-tail coefficients from the highest degree down.  The
-    correction sum starts from ``e_{2l-3}`` (``top``); ``clenshaw`` lists
-    ``(1/beta_{k+1}, alpha_k/beta_{k+1}, beta_{k+1}/beta_{k+2}, e_k)`` for
-    ``k = 2l-4`` down to 0, from the recurrence of ``u^(a+1) (1-u)^(b+1)``.
+    correction sum starts from its last coefficient (``top``);
+    ``clenshaw`` lists ``(1/beta_{k+1}, alpha_k/beta_{k+1},
+    beta_{k+1}/beta_{k+2}, e_k)`` for the other ``k``, downwards, from the
+    recurrence of ``u^pu (1-u)^pv`` with ``power = (pu, pv)``.
     """
 
     split: float
@@ -341,55 +354,87 @@ class _CdfTable(NamedTuple):
     clenshaw: tuple[tuple[float, float, float, float], ...]
 
 
-def _leading_terms(ratios: list[Fraction]) -> list[float]:
+def _leading_terms(ratios: list[float]) -> list[float]:
     """A leading 1 and the partial products of ``ratios``, while they matter.
 
     Every ratio is below one, so the terms fall, and the ones dropped sum to
     less than ``2^-60`` of the leading term: no sum that includes it changes.
     """
-    terms, term = [1.0], Fraction(1)
+    terms = [1.0]
     for i, ratio in enumerate(ratios):
-        term *= ratio
-        if term * (len(ratios) - i) < Fraction(1, 2**60):
+        if terms[-1] * ratio * (len(ratios) - i) < 2.0**-60:
             break
-        terms.append(float(term))
+        terms.append(terms[-1] * ratio)
     return terms
+
+
+def _endpoint_sum(e: np.ndarray, qa: tuple, qb: tuple) -> float:
+    """``sum_k |e_k q_k(u)|`` at the worse endpoint: a bound on the sum on [0, 1].
+
+    Orthonormal Jacobi polynomials with exponents of at least one take
+    their largest values on [0, 1] at an endpoint (Szegő, §7.32).
+    """
+    worst = 0.0
+    for u in (0.0, 1.0):
+        prev, cur, total = 0.0, 1.0, abs(e[0])
+        for k in range(e.size - 1):
+            prev, cur = cur, ((u - qa[k]) * cur - qb[k] * prev) / qb[k + 1]
+            total += abs(e[k + 1] * cur)
+        worst = max(worst, total)
+    return worst
 
 
 @lru_cache(maxsize=64)
 def _cdf_table(l: int, a: int, b: int) -> _CdfTable:
-    n = a + b + 1
-    split = Fraction(a + 1, b + 1)
+    # The CDF's rounding error is near 1e-16 times sum |e_k|.  Past
+    # _SUM_LIMIT, lower both exponents of the leading Beta part by eighths
+    # of a and b (at a = b = 0 the weight is flat), unless the longer sum
+    # would leave float range somewhere on [0, 1].
+    chosen = None
+    for s, t in dict.fromkeys((a * i // 8, b * i // 8) for i in range(9)):
+        pu, pv = a + 1 - s, b + 1 - t
+        # Rodrigues, with q_k orthonormal for u^pu (1-u)^pv:
+        # d/du [u^pu (1-u)^pv q_{j-1}]
+        #     = -sqrt(j (j+pu+pv-1)) u^(pu-1) (1-u)^(pv-1) r_j
+        e = _jacobi_expansion(l, a, b, s, t)
+        j = np.arange(1, e.size + 1)
+        e = -e / np.sqrt(j * (j + pu + pv - 1.0))
+        qa, qb, _ = _recurrence(max(e.size, 1), pu, pv)
+        if chosen and not _endpoint_sum(e, qa, qb) < _RANGE_LIMIT:
+            break
+        chosen = pu, pv, e, qa, qb
+        if np.abs(e).sum() <= _SUM_LIMIT:
+            break
+    pu, pv, e, qa, qb = chosen
+    n = pu + pv - 1
     # each binomial term over the leading one, at the split: products of
     # ratios of neighbouring terms, every ratio below one
-    below = _leading_terms([split * Fraction(b - i, a + 2 + i) for i in range(b)])
-    above = _leading_terms([Fraction(a - i, b + 2 + i) / split for i in range(a)])
+    below = _leading_terms(
+        [pu * (pv - 1 - i) / (pv * (pu + 1 + i)) for i in range(pv - 1)]
+    )
+    above = _leading_terms(
+        [pv * (pu - 1 - i) / (pu * (pv + 1 + i)) for i in range(pu - 1)]
+    )
     size = max(len(below), len(above))
     below += [0.0] * (size - len(below))
     above += [0.0] * (size - len(above))
-    horner = list(zip(below, above))[::-1]
-    e, clenshaw = [0.0], []
-    if l > 1:
-        # Rodrigues: d/du [u^(a+1) (1-u)^(b+1) q_{j-1}] = -sqrt(j (j+a+b+1)) u^a (1-u)^b p_j
-        j = np.arange(1, 2 * l - 1)
-        e = -_jacobi_expansion(l, a, b) / np.sqrt(j * (j + a + b + 1.0))
-        qa, qb, _ = _recurrence(2 * l - 2, a + 1, b + 1)
-        for k in reversed(range(2 * l - 3)):
-            step = qb[k + 1] / qb[k + 2] if k + 2 < 2 * l - 2 else 0.0
-            clenshaw.append((1.0 / qb[k + 1], qa[k] / qb[k + 1], step, float(e[k])))
+    clenshaw = []
+    for k in reversed(range(e.size - 1)):
+        step = qb[k + 1] / qb[k + 2] if k + 2 < e.size else 0.0
+        clenshaw.append((1.0 / qb[k + 1], qa[k] / qb[k + 1], step, float(e[k])))
     return _CdfTable(
-        split=float(split),
+        split=pu / pv,
         n=n,
-        power=(a + 1, b + 1),
-        log_binom=(math.log(math.comb(n, a + 1)), math.log(math.comb(n, a))),
-        horner=tuple(horner),
-        # the correction's 1/sqrt(B(a+1, b+1) B(a+2, b+2)) over each side's
+        power=(pu, pv),
+        log_binom=(math.log(math.comb(n, pu)), math.log(math.comb(n, pu - 1))),
+        horner=tuple(zip(below, above))[::-1],
+        # the correction's 1/sqrt(B(pu, pv) B(pu+1, pv+1)) over each side's
         # binomial coefficient, with the sign of that side
         scale=(
-            math.sqrt((a + 1) * (n + 1) * (n + 2) / (b + 1)),
-            -math.sqrt((b + 1) * (n + 1) * (n + 2) / (a + 1)),
+            math.sqrt(pu * (n + 1) * (n + 2) / pv),
+            -math.sqrt(pv * (n + 1) * (n + 2) / pu),
         ),
-        top=float(e[-1]),
+        top=float(e[-1]) if e.size else 0.0,
         clenshaw=tuple(clenshaw),
     )
 
@@ -402,7 +447,8 @@ def _closed_cdf(table: _CdfTable, w: np.ndarray) -> np.ndarray:
         return np.where(above, pair[1], pair[0])
 
     # rho = u/v below the split and v/u above it; the leading binomial term
-    # C(n, a+1) u^(a+1) v^b, or C(n, a) u^a v^(b+1), is C rho^power (1+rho)^-n
+    # C(n, pu) u^pu v^(pv-1), or C(n, pu-1) u^(pu-1) v^pv, is
+    # C rho^power (1+rho)^-n
     with np.errstate(divide="ignore"):
         rho = np.where(above, 1.0 / w, w)
         lead = np.log(rho)
@@ -443,10 +489,11 @@ def marginal_cdf(params: LawParams, w):
     ``u = w/(1+w)``, ``a = t1`` and ``b = n' - m'`` it is
     ``I_u(a+1, b+1) + u^(a+1) (1-u)^(b+1) sum_{k<=2l-3} e_k q_k(u)``: a Beta
     CDF, summed as a finite binomial tail, plus one Jacobi sum whose
-    coefficients are cached per ``(l, a, b)``.  Above ``w = (a+1)/(b+1)`` it
-    is evaluated as one minus the mass above ``w``, which keeps values near
-    one accurate; the module docstring gives the construction and its
-    measured error.
+    coefficients are cached per ``(l, a, b)``; where that sum would be
+    ill-conditioned the Beta part takes lower exponents and the sum more
+    terms.  Above the Beta mean it is evaluated as one minus the mass above
+    ``w``, which keeps values near one accurate; the module docstring gives
+    the construction and its measured error.
     """
     w = np.asarray(w, dtype=np.float64)
     scalar = w.ndim == 0

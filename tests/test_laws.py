@@ -438,6 +438,32 @@ def test_cdf_matches_exact_oracle_at_unbalanced_exponents():
     assert np.all(np.abs(marginal_cdf(params, grid) - cdf_ref) <= 1e-11)
 
 
+@pytest.mark.parametrize("triple", [(20, 20, 40), (20, 15, 200)])
+def test_cdf_lowers_its_beta_exponents_for_an_ill_conditioned_sum(triple):
+    # l >= 15 with n' - m' >= 20: with the leading part I_u(t1+1, n'-m'+1)
+    # the Jacobi sum's coefficients reach 1e6 and the error 1e-9, so the
+    # table lowers the exponents of the Beta part
+    from gsvdist.laws import _cdf_table
+
+    params = law_params(*triple)
+    a, b = params.t1, params.t1_reciprocal
+    assert _cdf_table(params.l, a, b).power != (a + 1, b + 1)
+    grid = np.geomspace(1e-3, 1e3, 21)
+    _, cdf_ref = _kernel_oracle(params, grid)
+    assert np.all(np.abs(marginal_cdf(params, grid) - cdf_ref) <= 1e-12)
+
+
+def test_cdf_keeps_float_range_at_extreme_exponents():
+    # n' - m' = 1490: every lowered choice would overflow on [0, 1], so the
+    # table keeps I_u(t1+1, n'-m'+1) and its ill-conditioned sum
+    params = law_params(10, 10, 1500)
+    points = np.geomspace(1e-4, 1e-1, 7)
+    _, cdf_ref = _kernel_oracle(params, points)
+    assert np.all(np.abs(marginal_cdf(params, points) - cdf_ref) <= 1e-9)
+    values = marginal_cdf(params, np.geomspace(1e-6, 1e3, 400))
+    assert np.all((values >= 0.0) & (values <= 1.0)) and np.all(np.diff(values) >= 0.0)
+
+
 def test_cdf_monotone_on_the_cli_grid():
     # the default CLI grid, every triple 1 <= m', p <= 6, m' <= n' <= 8:
     # values in [0, 1] and no decrease at all between neighbouring points
