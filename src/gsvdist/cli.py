@@ -110,6 +110,8 @@ def _reduced(args, what: str) -> ReducedDims:
 
 def _grid(args) -> np.ndarray:
     lo, hi, points = args.grid if args.grid else DEFAULT_GRID
+    if not (np.isfinite(points) and points == int(points)):
+        raise GsvdistError(f"grid POINTS must be a whole number, got {points}")
     points = int(points)
     if lo <= 0 or hi <= 0:
         raise GsvdistError("grid bounds must be positive")

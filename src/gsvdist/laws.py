@@ -25,40 +25,43 @@ Every term is a square, so nothing cancels, and any ``l`` is allowed.  The
 reciprocal identity is the reflection ``u -> 1 - u = 1/(1+w)``, which swaps
 ``a`` and ``b``.
 
-The CDF is closed form.  With ``pu = a + 1 - s``, ``pv = b + 1 - t``
-(normally ``s = t = 0``), ``q_k`` the orthonormal Jacobi polynomials of
-``u^pu (1-u)^pv`` and ``I`` the regularized incomplete Beta function,
+The CDF is closed form.  Let ``omega_{x,y}`` be the Beta(x+1, y+1)
+density, ``P^{x,y}_m`` its orthonormal polynomials (``P_0 = 1``) and
+``rho_{x,y} = (x+1)(y+1) / ((x+y+2)(x+y+3))``, so that
+``omega_{x+1,y+1} = u (1-u) omega_{x,y} / rho_{x,y}``.  By Rodrigues'
+formula (Szegő, *Orthogonal Polynomials*, §4.21; DLMF 18.9) the derivative
+of ``P^{x,y}_m`` is ``sqrt(m (m+x+y+1) / rho_{x,y}) P^{x+1,y+1}_{m-1}``,
+and integration by parts gives the ladder identity
 
-    F(w) = I_u(pu, pv) + u^pu (1-u)^pv * sum_{k<=2l-3+s+t} e_k q_k(u).
+    int_0^u omega_{x,y} P_m^2 = int_0^u omega_{x+1,y+1} (P^{x+1,y+1}_{m-1})^2
+        - c_m omega_{x+1,y+1}(u) P^{x+1,y+1}_{m-1}(u) P^{x,y}_m(u),
+    c_m = sqrt(rho_{x,y} / (m (m+x+y+1))).
 
-The density is ``u^(pu-1) (1-u)^(pv-1)`` times the polynomial
-``u^s (1-u)^t (1/l) sum_{k<l} p_k^2``, whose coefficients ``c_j`` in the
-orthonormal family ``r_j`` of ``u^(pu-1) (1-u)^(pv-1)`` come exactly from
-the Gauss rule of ``u^a (1-u)^b`` in matrix form.  ``c_0`` gives the Beta
-CDF, and the Rodrigues identity (DLMF 18.9; Szegő, *Orthogonal
-Polynomials*, §4.21)
+Applied down to ``m = 0``, with the contiguous relation
+``I_u(x+2, y+2) = I_u(x+1, y+1) + omega_{x+1,y+1} ((x+y+2) u - (y+1)) /
+((x+y+2)(x+y+3))`` for the Beta CDFs it leaves, it gives with ``x = a+j``,
+``y = b+j`` and ``d = l-1-j``
 
-    d/du [u^pu (1-u)^pv q_{j-1}] = -sqrt(j (j+pu+pv-1)) u^(pu-1) (1-u)^(pv-1) r_j
+    F(w) = I_u(a+1, b+1) + (1/l) sum_{j<l-1} omega_{x+1,y+1}(u) R_j(u),
+    R_j = d ((x+y+2) u - (y+1)) / ((x+y+2)(x+y+3))
+          - sum_{m=1..d} c_m P^{x+1,y+1}_{m-1}(u) P^{x,y}_m(u).
 
-integrates every other term, so ``e_{j-1} = -c_j / sqrt(j (j+pu+pv-1))``.
-The ``e_k`` are cached per ``(l, a, b)`` and the sum runs by Clenshaw on
-the recurrence.  It is signed, and its rounding error is about 1e-16 times
-``sum |e_k|``.  When ``l`` and ``|a - b|`` are both large that sum is
-large (3e6 at (20, 20, 40) with ``s = t = 0``, where the error reaches
-3e-10), so past 32 ``s`` and ``t`` grow by eighths of ``a`` and ``b``:
-the weight ``u^pu (1-u)^pv`` gets flatter and the sum ``s + t`` terms
-longer, unless the longer sum would leave float range on [0, 1].
+Every term is a product of two orthonormal Beta functions, bounded on
+[0, 1], so nothing large cancels for any ``(l, a, b)``.  The shifts nest
+Horner-style in ``u (1-u) / rho`` from the deepest one, and each shift's
+polynomials serve as the ``P^{x+1,y+1}`` of the shift below it: a point
+costs about ``l^2 / 2`` recurrence steps and as many products.
 
-For integer exponents ``I_u(pu, pv)`` is the binomial tail
-``sum_{j>=pu} C(n, j) u^j (1-u)^(n-j)``, ``n = pu + pv - 1``.  Below
-``w = pu/pv`` (the mean of ``u`` under the Beta weight) those terms fall
-with ``j``; above it the terms ``j < pu`` fall, and ``F`` is one minus
-their sum minus the correction, which keeps values near one accurate.
-Either way the tail is a Horner sum with coefficients in (0, 1], which
-cannot overflow for any exponents; terms that sum to less than ``2^-60``
-of the leading one are dropped.  A point costs ``2l - 3 + s + t``
-Clenshaw steps and fewer than ``max(pu, pv)`` Horner steps: 145 at
-(400, 3, 900), 21 at ``a = 0``, ``b = 2999``.
+For integer exponents ``I_u(pu, pv)``, ``pu = a+1``, ``pv = b+1``, is the
+binomial tail ``sum_{j>=pu} C(n, j) u^j (1-u)^(n-j)``, ``n = pu + pv - 1``.
+Below ``w = pu/pv`` (the mean of ``u`` under the Beta weight) those terms
+fall with ``j``; above it the terms ``j < pu`` fall, and ``F`` is one
+minus their sum minus the correction, which keeps values near one
+accurate.  Either way the tail is a Horner sum with coefficients in
+(0, 1], which cannot overflow for any exponents; terms that sum to less
+than ``2^-60`` of the leading one are dropped, which leaves fewer than
+``max(pu, pv)`` Horner steps: 145 at (400, 3, 900), 21 at ``a = 0``,
+``b = 2999``.
 
 Error bound, measured against exact rational inversion of the Hankel
 moment matrix ``G_ij = B(t1+i+j+1, t2-t1-i-j-1)`` and 60-digit mpmath on a
@@ -68,11 +71,13 @@ relative and the CDF within 2.1e-15 absolute.  The density's error grows
 with ``t2`` through the log weight, and only mildly with ``l``: on 15
 larger triples with ``l`` up to 25 and ``t2`` up to 903 (points where the
 density exceeds 1e-250) it stays below ``2e-15 * t2`` relative (1e-13 at
-(25, 25, 30), 5.1e-13 at (400, 3, 900)).  On those triples the CDF stays
-below 7.6e-14 absolute (1.3e-14 at (20, 15, 200), 3.8e-14 at
-(10, 10, 300), 7.6e-14 at (5, 5, 500)); at (10, 10, 1500) every lowered
-choice would overflow and the error is 7.2e-11.  Powers and Beta values
-stay in log domain throughout.
+(25, 25, 30), 5.1e-13 at (400, 3, 900)).  On 15 further triples with
+``l`` up to 25 and ``n' - m'`` up to 500 the CDF stays below 8.2e-14
+absolute (3.7e-14 at (20, 15, 200), 8.1e-14 at (10, 10, 300), 7.7e-14 at
+(5, 5, 500)).  Past that it is 1.4e-13 at (1, 1, 1100), where only the
+Beta part runs, 4.7e-13 at (30, 30, 600), 5.9e-13 at (10, 10, 1500) and
+1.9e-12 at (40, 40, 4000).  Powers and Beta values stay in log domain
+throughout.
 """
 
 from __future__ import annotations
@@ -300,48 +305,17 @@ def marginal_pdf_reciprocal(params: LawParams, w):
     return _density(params, w, params.t1_reciprocal, params.t1, lambda w: 1.0 / (1.0 + w))
 
 
-def _jacobi_expansion(l: int, a: int, b: int, s: int, t: int) -> np.ndarray:
-    """Coefficients ``c_1..c_D`` of ``u^s (1-u)^t (1/l) sum_{k<l} p_k^2``.
-
-    The basis is the orthonormal family ``r_j`` of ``u^(a-s) (1-u)^(b-t)``,
-    scaled like :func:`_kernel` (``r_0 = 1``), and ``D = 2l - 2 + s + t``.
-    Coefficient ``j`` is ``int u^a (1-u)^b (1/l) sum_k p_k^2 r_j``, and the
-    Gauss rule of ``u^a (1-u)^b`` in matrix form gives it exactly as
-    ``(1/l) sum_k r_j(J)_kk``, with ``J`` the Jacobi matrix of order
-    ``2l + (s+t)//2``: large enough that ``r_j(J)_kk`` for ``j <= D`` and
-    ``k < l`` never reaches its truncated last row.  ``c_0 = 1`` is left
-    out.
-    """
-    degree, size = 2 * l - 2 + s + t, 2 * l + (s + t) // 2
-    length = max(degree, size) + 2
-    alpha, beta, _ = _recurrence(length, a, b)
-    ra, rb, _ = _recurrence(length, a - s, b - t)
-    off = np.diag(beta[1:size], 1)
-    jmat = np.diag(alpha[:size]) + off + off.T
-    prev, cur = np.zeros((size, l)), np.eye(size, l)
-    coef = []
-    for j in range(degree):
-        prev, cur = cur, (jmat @ cur - ra[j] * cur - rb[j] * prev) / rb[j + 1]
-        coef.append(np.trace(cur) / l)
-    return np.array(coef)
-
-
-# largest sum |e_k| of the CDF's Jacobi sum kept without lowering the
-# exponents of its leading Beta part, and largest bound on its terms
-# (:func:`_endpoint_sum`) that a lowered choice may reach
-_SUM_LIMIT = 32.0
-_RANGE_LIMIT = 1e150
-
-
 class _CdfTable(NamedTuple):
     """Constants of :func:`marginal_cdf` for one ``(l, a, b)``.
 
     Pairs hold the value below the split, then above it.  ``horner`` lists
-    the binomial-tail coefficients from the highest degree down.  The
-    correction sum starts from its last coefficient (``top``);
-    ``clenshaw`` lists ``(1/beta_{k+1}, alpha_k/beta_{k+1},
-    beta_{k+1}/beta_{k+2}, e_k)`` for the other ``k``, downwards, from the
-    recurrence of ``u^pu (1-u)^pv`` with ``power = (pu, pv)``.
+    the binomial-tail coefficients from the highest degree down.  ``top``
+    is the one member of the deepest family, and ``ladder`` has one entry
+    per shift ``j < l-1``, deepest first: the factor ``1/rho`` that nests
+    the deeper shifts, the slope and intercept of ``R_j``'s linear part,
+    and the family ``f_jk P^{a+j,b+j}_k`` as its constant member ``f_j0``
+    and its steps, ``(1/beta_{k+1}, alpha_k/beta_{k+1}, beta_k/beta_{k+1})``
+    times the ratios of the factors ``f`` that each joins.
     """
 
     split: float
@@ -351,7 +325,7 @@ class _CdfTable(NamedTuple):
     horner: tuple[tuple[float, float], ...]
     scale: tuple[float, float]
     top: float
-    clenshaw: tuple[tuple[float, float, float, float], ...]
+    ladder: tuple[tuple, ...]
 
 
 def _leading_terms(ratios: list[float]) -> list[float]:
@@ -368,44 +342,27 @@ def _leading_terms(ratios: list[float]) -> list[float]:
     return terms
 
 
-def _endpoint_sum(e: np.ndarray, qa: tuple, qb: tuple) -> float:
-    """``sum_k |e_k q_k(u)|`` at the worse endpoint: a bound on the sum on [0, 1].
+def _rho(x: int, y: int) -> float:
+    """``E[u (1-u)]`` under Beta(x+1, y+1): ``omega_{x+1,y+1} = u (1-u) omega_{x,y} / rho``."""
+    return (x + 1) * (y + 1) / ((x + y + 2) * (x + y + 3))
 
-    Orthonormal Jacobi polynomials with exponents of at least one take
-    their largest values on [0, 1] at an endpoint (Szegő, §7.32).
-    """
-    worst = 0.0
-    for u in (0.0, 1.0):
-        prev, cur, total = 0.0, 1.0, abs(e[0])
-        for k in range(e.size - 1):
-            prev, cur = cur, ((u - qa[k]) * cur - qb[k] * prev) / qb[k + 1]
-            total += abs(e[k + 1] * cur)
-        worst = max(worst, total)
-    return worst
+
+def _scaled_steps(x: int, y: int, factor: list[float]) -> tuple:
+    """Recurrence steps of ``factor[k] P_k``, ``P_k`` orthonormal for ``u^x (1-u)^y``."""
+    alpha, beta, _ = _recurrence(len(factor), x, y)
+    return tuple(
+        (
+            factor[k + 1] / factor[k] / beta[k + 1],
+            factor[k + 1] / factor[k] * alpha[k] / beta[k + 1],
+            factor[k + 1] / factor[k - 1] * beta[k] / beta[k + 1] if k else 0.0,
+        )
+        for k in range(len(factor) - 1)
+    )
 
 
 @lru_cache(maxsize=64)
 def _cdf_table(l: int, a: int, b: int) -> _CdfTable:
-    # The CDF's rounding error is near 1e-16 times sum |e_k|.  Past
-    # _SUM_LIMIT, lower both exponents of the leading Beta part by eighths
-    # of a and b (at a = b = 0 the weight is flat), unless the longer sum
-    # would leave float range somewhere on [0, 1].
-    chosen = None
-    for s, t in dict.fromkeys((a * i // 8, b * i // 8) for i in range(9)):
-        pu, pv = a + 1 - s, b + 1 - t
-        # Rodrigues, with q_k orthonormal for u^pu (1-u)^pv:
-        # d/du [u^pu (1-u)^pv q_{j-1}]
-        #     = -sqrt(j (j+pu+pv-1)) u^(pu-1) (1-u)^(pv-1) r_j
-        e = _jacobi_expansion(l, a, b, s, t)
-        j = np.arange(1, e.size + 1)
-        e = -e / np.sqrt(j * (j + pu + pv - 1.0))
-        qa, qb, _ = _recurrence(max(e.size, 1), pu, pv)
-        if chosen and not _endpoint_sum(e, qa, qb) < _RANGE_LIMIT:
-            break
-        chosen = pu, pv, e, qa, qb
-        if np.abs(e).sum() <= _SUM_LIMIT:
-            break
-    pu, pv, e, qa, qb = chosen
+    pu, pv = a + 1, b + 1
     n = pu + pv - 1
     # each binomial term over the leading one, at the split: products of
     # ratios of neighbouring terms, every ratio below one
@@ -418,25 +375,64 @@ def _cdf_table(l: int, a: int, b: int) -> _CdfTable:
     size = max(len(below), len(above))
     below += [0.0] * (size - len(below))
     above += [0.0] * (size - len(above))
-    clenshaw = []
-    for k in reversed(range(e.size - 1)):
-        step = qb[k + 1] / qb[k + 2] if k + 2 < e.size else 0.0
-        clenshaw.append((1.0 / qb[k + 1], qa[k] / qb[k + 1], step, float(e[k])))
+    # Family j is P^(a+j,b+j)_k, k < l-j, times factors f_jk chosen so that
+    # f_{j+1,m-1} f_jm is the constant -sqrt(rho_{x,y} / (m (m+x+y+1))) of
+    # term m of R_j: each term is then one product of two members
+    factors = [[1.0] * l]
+    for j in range(l - 1):
+        factors.append([
+            -math.sqrt(_rho(a + j, b + j) / ((k + 1) * (k + a + b + 2 * j + 2)))
+            / f for k, f in enumerate(factors[j][1:])
+        ])
+    ladder = []
+    for j in reversed(range(l - 1)):
+        x, y, d = a + j, b + j, l - 1 - j
+        ladder.append((
+            1.0 / _rho(x + 1, y + 1),
+            d / (x + y + 3),
+            -d * (y + 1) / ((x + y + 2) * (x + y + 3)),
+            factors[j][0],
+            _scaled_steps(x, y, factors[j]),
+        ))
     return _CdfTable(
         split=pu / pv,
         n=n,
         power=(pu, pv),
         log_binom=(math.log(math.comb(n, pu)), math.log(math.comb(n, pu - 1))),
         horner=tuple(zip(below, above))[::-1],
-        # the correction's 1/sqrt(B(pu, pv) B(pu+1, pv+1)) over each side's
-        # binomial coefficient, with the sign of that side
-        scale=(
-            math.sqrt(pu * (n + 1) * (n + 2) / pv),
-            -math.sqrt(pv * (n + 1) * (n + 2) / pu),
-        ),
-        top=float(e[-1]) if e.size else 0.0,
-        clenshaw=tuple(clenshaw),
+        # omega_{a+1,b+1} / l over each side's leading term times v (below)
+        # or u (above), with the sign of that side
+        scale=((n + 1) * (n + 2) / (l * pv), -(n + 1) * (n + 2) / (l * pu)),
+        top=factors[-1][0],
+        ladder=tuple(ladder),
     )
+
+
+def _ladder_sum(table: _CdfTable, u: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """``sum_j (omega_{a+j+1,b+j+1} / omega_{a+1,b+1}) R_j(u)``, nested from the deepest shift."""
+    tmp = np.empty_like(u)
+    upper, total = [table.top], None
+    for nest, slope, intercept, start, steps in table.ladder:
+        family = [start]
+        for k, (inv, shift, ratio) in enumerate(steps):
+            nxt = u * inv
+            nxt -= shift
+            nxt *= family[-1]
+            if k:
+                np.multiply(family[-2], ratio, out=tmp)
+                nxt -= tmp
+            family.append(nxt)
+        r = u * slope
+        r += intercept
+        for low, high in zip(upper, family[1:]):
+            np.multiply(low, high, out=tmp)
+            r += tmp
+        if total is not None:
+            total *= uv
+            total *= nest
+            r += total
+        total, upper = r, family
+    return total
 
 
 def _closed_cdf(table: _CdfTable, w: np.ndarray) -> np.ndarray:
@@ -465,19 +461,12 @@ def _closed_cdf(table: _CdfTable, w: np.ndarray) -> np.ndarray:
             tail += pick(pair)
     vu = 1.0 + rho
     np.divide(1.0, vu, out=vu)  # v below the split, u above it
-    if table.clenshaw:
-        u = np.where(above, vu, rho * vu)
-        b2, b1 = 0.0, table.top
-        for inv_beta, shift, step, e_k in table.clenshaw:
-            b0 = u * inv_beta
-            b0 -= shift
-            b0 *= b1
-            b0 -= step * b2
-            b0 += e_k
-            b2, b1 = b1, b0
-        b1 *= vu
-        b1 *= pick(table.scale)
-        tail += b1
+    if table.ladder:
+        uv = rho * vu
+        ladder = _ladder_sum(table, np.where(above, vu, uv), uv * vu)
+        ladder *= vu
+        ladder *= pick(table.scale)
+        tail += ladder
     tail *= lead
     return np.where(above, 1.0 - tail, tail)
 
@@ -486,14 +475,15 @@ def marginal_cdf(params: LawParams, w):
     """Distribution function of a single eigenvalue.
 
     Accepts a scalar or an array of points in ``[0, inf]``.  With
-    ``u = w/(1+w)``, ``a = t1`` and ``b = n' - m'`` it is
-    ``I_u(a+1, b+1) + u^(a+1) (1-u)^(b+1) sum_{k<=2l-3} e_k q_k(u)``: a Beta
-    CDF, summed as a finite binomial tail, plus one Jacobi sum whose
-    coefficients are cached per ``(l, a, b)``; where that sum would be
-    ill-conditioned the Beta part takes lower exponents and the sum more
-    terms.  Above the Beta mean it is evaluated as one minus the mass above
-    ``w``, which keeps values near one accurate; the module docstring gives
-    the construction and its measured error.
+    ``u = w/(1+w)``, ``a = t1`` and ``b = n' - m'`` it is the Beta CDF
+    ``I_u(a+1, b+1)``, summed as a finite binomial tail, plus a correction
+    that the ladder identity writes as products of orthonormal Jacobi
+    functions of ``u^(a+j) (1-u)^(b+j)``, ``j < l``, with constants cached
+    per ``(l, a, b)``.  One path serves every law: no term is large, so
+    nothing cancels.  Above the Beta mean it is evaluated as one minus the
+    mass above ``w``, which keeps values near one accurate.  The module
+    docstring gives the construction and its measured error: 2.1e-15
+    absolute for ``m', p <= 10``, ``n' <= 12``.
     """
     w = np.asarray(w, dtype=np.float64)
     scalar = w.ndim == 0
@@ -501,7 +491,8 @@ def marginal_cdf(params: LawParams, w):
     if not (w >= 0.0).all():
         raise DimensionError("CDF points must be nonnegative (inf allowed)")
     table = _cdf_table(params.l, params.t1, params.t1_reciprocal)
-    total = _by_block(lambda w: _closed_cdf(table, w), w, 8)
+    # the ladder holds two families of up to l members per point
+    total = _by_block(lambda w: _closed_cdf(table, w), w, max(8, params.l))
     if not (total.min() >= -1e-9 and total.max() <= 1.0 + 1e-9):
         raise ConsistencyError("CDF evaluation left [0, 1] beyond roundoff")
     out = np.clip(total, 0.0, 1.0, out=total)

@@ -20,6 +20,7 @@ censoring.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -159,7 +160,8 @@ def _run_batch(
         return _fill_chunk(draw_fn, gen, size, arity)
 
     if len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+        # one chunk per requested worker keeps the draws; one thread per core
+        with ThreadPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = [run(job) for job in jobs]

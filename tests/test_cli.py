@@ -98,10 +98,11 @@ def test_pdf_order_eight(capsys):
 
 
 def test_grid_validation(capsys):
-    code, _ = _run(
-        capsys, ["pdf", "--mp", "2", "--p", "2", "--np", "2", "--grid", "2", "1", "5"]
-    )
-    assert code == 2
+    # min > max, and a POINTS that is not finite or not a whole number
+    for grid in (("2", "1", "5"), ("1e-3", "1e3", "nan"), ("1e-3", "1e3", "inf"),
+                 ("1e-3", "1e3", "2.7")):
+        code, _ = _run(capsys, ["pdf", "--mp", "2", "--p", "2", "--np", "2", "--grid", *grid])
+        assert code == 2, grid
 
 
 # ------------------------------------------------------------------- sample

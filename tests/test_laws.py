@@ -418,7 +418,7 @@ def test_cdf_monotone():
 
 @pytest.mark.parametrize("a, b", [(0, 0), (3, 9), (40, 2)])
 def test_cdf_single_eigenvalue_is_the_beta_cdf(a, b):
-    # l = 1: the Jacobi sum is empty and the CDF is I_u(a+1, b+1) alone
+    # l = 1: the ladder is empty and the CDF is I_u(a+1, b+1) alone
     params = law_params(1, 1 + a, 1 + b)
     assert (params.l, params.t1, params.t1_reciprocal) == (1, a, b)
     grid = np.geomspace(1e-3, 1e3, 61)
@@ -431,35 +431,31 @@ def test_cdf_single_eigenvalue_is_the_beta_cdf(a, b):
 
 
 def test_cdf_matches_exact_oracle_at_unbalanced_exponents():
-    # a = 48, b = 70: the Beta part and the Jacobi sum both carry weight
+    # a = 48, b = 70: the Beta part and the ladder both carry weight
     params = law_params(50, 2, 120)
     grid = np.geomspace(1e-3, 1e3, 61)
     _, cdf_ref = _kernel_oracle(params, grid)
     assert np.all(np.abs(marginal_cdf(params, grid) - cdf_ref) <= 1e-11)
 
 
-@pytest.mark.parametrize("triple", [(20, 20, 40), (20, 15, 200)])
-def test_cdf_lowers_its_beta_exponents_for_an_ill_conditioned_sum(triple):
-    # l >= 15 with n' - m' >= 20: with the leading part I_u(t1+1, n'-m'+1)
-    # the Jacobi sum's coefficients reach 1e6 and the error 1e-9, so the
-    # table lowers the exponents of the Beta part
-    from gsvdist.laws import _cdf_table
-
+@pytest.mark.parametrize("triple", [(20, 20, 40), (20, 15, 200), (10, 10, 300), (5, 5, 500)])
+def test_cdf_matches_exact_oracle_at_large_order_and_unbalanced_exponents(triple):
+    # l >= 5 with n' - m' >= 20: in one Jacobi basis the correction to
+    # I_u(t1+1, n'-m'+1) has coefficients up to 1e6, so a single signed sum
+    # would err by 1e-9; the ladder adds products of bounded functions
     params = law_params(*triple)
-    a, b = params.t1, params.t1_reciprocal
-    assert _cdf_table(params.l, a, b).power != (a + 1, b + 1)
     grid = np.geomspace(1e-3, 1e3, 21)
     _, cdf_ref = _kernel_oracle(params, grid)
     assert np.all(np.abs(marginal_cdf(params, grid) - cdf_ref) <= 1e-12)
 
 
 def test_cdf_keeps_float_range_at_extreme_exponents():
-    # n' - m' = 1490: every lowered choice would overflow on [0, 1], so the
-    # table keeps I_u(t1+1, n'-m'+1) and its ill-conditioned sum
+    # n' - m' = 1490: the Beta weights are narrow and the polynomials large
+    # at u = 1, yet every ladder term stays a product of bounded functions
     params = law_params(10, 10, 1500)
     points = np.geomspace(1e-4, 1e-1, 7)
     _, cdf_ref = _kernel_oracle(params, points)
-    assert np.all(np.abs(marginal_cdf(params, points) - cdf_ref) <= 1e-9)
+    assert np.all(np.abs(marginal_cdf(params, points) - cdf_ref) <= 1e-11)
     values = marginal_cdf(params, np.geomspace(1e-6, 1e3, 400))
     assert np.all((values >= 0.0) & (values <= 1.0)) and np.all(np.diff(values) >= 0.0)
 

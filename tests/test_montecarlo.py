@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from gsvdist import (
     Experiment,
@@ -54,6 +53,39 @@ def test_gsvd_batch_workers_deterministic():
     b = sample_w_gsvd(ProblemDims(2, 3, 4), 31, RngStream(5), workers=3)
     np.testing.assert_array_equal(a.values, b.values)
     assert a.values.shape == (31, 1)
+
+
+def test_batch_threads_are_capped_at_the_core_count(monkeypatch):
+    # 50 requested workers on 2 cores: 50 chunks, 2 threads.  A serial
+    # stand-in for the pool records the cap and starts no thread.
+    import threading
+
+    import gsvdist.montecarlo as mc
+
+    caps = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            caps.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
+    threads = threading.active_count()
+    batches = []
+    for cores in (2, 64):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cores)
+        batches.append(sample_w_gsvd(ProblemDims(2, 3, 4), 60, RngStream(5), workers=50))
+    assert caps == [2, 50] and threading.active_count() == threads
+    # the cap leaves the chunks, and so the draws, as they were
+    np.testing.assert_array_equal(batches[0].values, batches[1].values)
 
 
 def test_gsvd_refuses_deterministic_regime():
@@ -264,9 +296,13 @@ def test_ks_one_sample_exact_null():
     params = law_params(2, 1, 3)
     gen = np.random.default_rng(9)
     u = gen.uniform(size=2000)
-    draws = np.array(
-        [brentq(lambda w: marginal_cdf(params, w) - ui, 1e-12, 1e12) for ui in u]
-    )
+    # inverse CDF by bisection in log w over [1e-12, 1e12], all draws at once
+    lo, hi = np.full_like(u, np.log(1e-12)), np.full_like(u, np.log(1e12))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = marginal_cdf(params, np.exp(mid)) < u
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    draws = np.exp(0.5 * (lo + hi))
     batch = _synthetic_batch(draws)
     assert ks_one_sample(batch, params, 0.01).passed
 
