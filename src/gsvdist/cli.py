@@ -7,7 +7,7 @@ statistical experiments).  Output is CSV (single header row) or JSON (a
 ``meta`` are the only nondeterministic fields).
 
 Exit codes: 0 success / statistical pass, 1 statistical fail, 2 usage or
-regime error.
+regime error, or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -73,8 +74,11 @@ def _emit(text: str, out_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GsvdistError(f"cannot write {target}: {exc.strerror}") from exc
 
 
 def _json_payload(command: str, meta_extra: dict, data) -> str:
@@ -113,8 +117,8 @@ def _grid(args) -> np.ndarray:
     if not (np.isfinite(points) and points == int(points)):
         raise GsvdistError(f"grid POINTS must be a whole number, got {points}")
     points = int(points)
-    if lo <= 0 or hi <= 0:
-        raise GsvdistError("grid bounds must be positive")
+    if not (np.isfinite(lo) and np.isfinite(hi)) or lo <= 0 or hi <= 0:
+        raise GsvdistError("grid bounds must be finite and positive")
     if points == 1:
         if lo != hi:
             raise GsvdistError("a single-point grid needs min == max")
@@ -161,16 +165,7 @@ def _law_table(args, func, column: str) -> int:
     values = func(params, grid)
     if args.format == "json":
         data = {
-            "params": {
-                "m_prime": params.m_prime,
-                "p": params.p,
-                "n_prime": params.n_prime,
-                "l": params.l,
-                "t1": params.t1,
-                "t2": params.t2,
-                "t1_reciprocal": params.t1_reciprocal,
-                "log_m": params.log_m,
-            },
+            "params": asdict(params),
             "w": [float(x) for x in grid],
             column: [float(x) for x in values],
         }
@@ -204,22 +199,21 @@ def cmd_sample(args) -> int:
     dims = parse(args, f"sampler {sampler.value}")
     batch = draw(dims, args.samples, RngStream(args.seed), args.workers)
 
-    meta = {
-        "sampler": batch.sampler_id.value,
-        "dims": list(batch.dims),
-        "seed": batch.seed,
-        "workers": args.workers,
-        "count": batch.count,
-        "arity": batch.arity,
-        "failures": batch.failures,
-    }
     if args.format == "json":
-        data = dict(meta)
-        data["values"] = [[float(v) for v in row] for row in batch.values]
-        _emit(_json_payload("sample", {"seed": args.seed}, data), args.out)
+        data = {
+            "sampler": batch.sampler_id.value,
+            "dims": list(batch.dims),
+            "seed": batch.seed,
+            "count": batch.count,
+            "arity": batch.arity,
+            "failures": batch.failures,
+            "values": [[float(v) for v in row] for row in batch.values],
+        }
+        meta = {"seed": args.seed, "workers": args.workers}
+        _emit(_json_payload("sample", meta, data), args.out)
     else:
         lines = [
-            f"# sampler={meta['sampler']} dims={'x'.join(str(d) for d in batch.dims)} "
+            f"# sampler={sampler.value} dims={'x'.join(str(d) for d in batch.dims)} "
             f"seed={batch.seed} count={batch.count} arity={batch.arity}"
         ]
         rows = (

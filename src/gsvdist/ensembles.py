@@ -54,7 +54,7 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=seq.generate_state(2, np.uint64)))
 
     def substream(self, index: int) -> "RngStream":
-        """Derived stream for worker chunk ``index``.
+        """Derived stream for batch chunk ``index``.
 
         Only one nesting level is supported: chunk indices pack into the
         upper half of the 64-bit stream word, tagged so derived streams can

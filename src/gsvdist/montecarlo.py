@@ -7,15 +7,15 @@ singular values of a truncated Haar unitary.  Kolmogorov-Smirnov tests
 check that they agree with each other and with the closed-form marginal,
 and a mean test checks the closed-form power of the shared right factor.
 
-Batches are drawn in worker chunks; chunk ``i`` uses substream ``i`` of the
-batch's stream, and results merge by concatenation in chunk order, so a
-report is a pure function of (seed, worker count).  Draws that fail the
-rank test, the singular-value classification or a Cholesky factorization
-are discarded one by one and counted, and each check reports the count of
-its batches as ``discarded``.  One failure budget, 0.1% of the draws made
-and never less than one draw, applies to each chunk while it draws and to
-the whole batch; exceeding it aborts the batch rather than risk biased
-censoring.
+Batches are drawn in chunks of ``CHUNK`` draws; chunk ``i`` uses substream
+``i`` of the batch's stream, and results merge by concatenation in chunk
+order, so a report is a pure function of the seed; ``workers`` sets threads
+only.  Draws that fail the rank test, the singular-value classification or
+a Cholesky factorization are discarded one by one and counted, and each
+check reports the count of its batches as ``discarded``.  One failure
+budget, 0.1% of the draws made and never less than one draw, applies to
+each chunk while it draws and to the whole batch; exceeding it aborts the
+batch rather than risk biased censoring.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import (
-    ONE_TOL,
-    ZERO_TOL,
     ProblemDims,
     ReducedDims,
     Regime,
@@ -50,6 +48,8 @@ from .laws import LawParams, law_params, marginal_cdf, marginal_pdf
 from .quadrature import quadrature_integrate
 
 MAX_FAILURE_RATE = 1e-3
+# draws per chunk, fixed so that a batch's draws never depend on its workers
+CHUNK = 2000
 # reserved substream channel for the per-draw eigenvalue choice
 _REDUCE_CHANNEL = (1 << 31) - 1
 # asymptotic two-sided critical constants for the KS statistic
@@ -106,9 +106,8 @@ class SampleBatch:
         self.values.setflags(write=False)
 
 
-def _chunk_sizes(count: int, workers: int) -> list[int]:
-    base, extra = divmod(count, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
+def _chunk_sizes(count: int) -> list[int]:
+    return [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
 
 
 def _over_budget(failures: int, drawn: int) -> bool:
@@ -148,20 +147,16 @@ def _run_batch(
         raise DimensionError(f"count must be >= 1, got {count}")
     if workers < 1:
         raise DimensionError(f"workers must be >= 1, got {workers}")
-    sizes = _chunk_sizes(count, workers)
-    jobs = [
-        (rng.substream(i).generator(), size)
-        for i, size in enumerate(sizes)
-        if size > 0
-    ]
+    jobs = list(enumerate(_chunk_sizes(count)))
 
     def run(job):
-        gen, size = job
-        return _fill_chunk(draw_fn, gen, size, arity)
+        i, size = job
+        return _fill_chunk(draw_fn, rng.substream(i).generator(), size, arity)
 
-    if len(jobs) > 1:
-        # one chunk per requested worker keeps the draws; one thread per core
-        with ThreadPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
+    # the chunks fix the draws; the threads only schedule them
+    threads = min(workers, len(jobs), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = [run(job) for job in jobs]
@@ -264,9 +259,9 @@ def sample_alpha_haar(
             alphas, ok = _classify(np.linalg.svd(u[:, :m, :n], compute_uv=False), st)
             return alphas[ok] ** 2, int(np.count_nonzero(~ok))
         blk = u[:, m:, n:]
-        gram = blk.conj().transpose(0, 2, 1) @ blk
-        evals = np.linalg.eigvalsh(gram)[:, ::-1]
-        ok = (evals[:, -1] > ZERO_TOL**2) & (evals[:, 0] < 1.0 - 2.0 * ONE_TOL)
+        evals = np.linalg.eigvalsh(blk.conj().transpose(0, 2, 1) @ blk)[:, ::-1]
+        # the block has no unit singular values: classify as if r = 0
+        _, ok = _classify(np.sqrt(np.maximum(evals, 0.0)), replace(st, r=0))
         return evals[ok], int(np.count_nonzero(~ok))
 
     return _run_batch(
@@ -425,7 +420,7 @@ class VerificationReport:
     experiment: str
     dims: dict
     seed: int
-    workers: int
+    workers: int  # threads only: not part of to_dict()
     samples: int
     alpha_level: float | None
     checks: tuple[tuple[str, dict], ...]
@@ -438,7 +433,6 @@ class VerificationReport:
             "experiment": self.experiment,
             "dims": dict(self.dims),
             "seed": self.seed,
-            "workers": self.workers,
             "samples": self.samples,
             "alpha_level": self.alpha_level,
             "checks": [{"name": name, **report} for name, report in self.checks],
@@ -576,7 +570,8 @@ def run_experiment(
     reduced triple is read, or a mean test closer than ``MEAN_TEST_MIN_GAP``
     to ``m + q = n`` raises :class:`RegimeError` before any draw, and an
     ``alpha_level`` outside (0, 1) raises :class:`ParameterError` there.
-    The report is bit-identical across runs for fixed (seed, workers).
+    The report is a pure function of the seed; ``workers`` sets threads
+    only, and appears in the report's attributes but not in ``to_dict``.
     """
     experiment = Experiment(experiment)
     start = time.perf_counter()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gsvdist.cli import main
+from gsvdist.montecarlo import CHUNK
 
 
 def _run(capsys, argv):
@@ -98,11 +99,15 @@ def test_pdf_order_eight(capsys):
 
 
 def test_grid_validation(capsys):
-    # min > max, and a POINTS that is not finite or not a whole number
-    for grid in (("2", "1", "5"), ("1e-3", "1e3", "nan"), ("1e-3", "1e3", "inf"),
-                 ("1e-3", "1e3", "2.7")):
-        code, _ = _run(capsys, ["pdf", "--mp", "2", "--p", "2", "--np", "2", "--grid", *grid])
-        assert code == 2, grid
+    # min > max, a non-finite MIN or MAX, and a POINTS that is not finite or
+    # not a whole number
+    for grid in (("2", "1", "5"), ("1e-3", "inf", "4"), ("nan", "1", "4"),
+                 ("1e-3", "1e3", "nan"), ("1e-3", "1e3", "inf"), ("1e-3", "1e3", "2.7")):
+        for command in ("pdf", "cdf"):
+            code, _ = _run(
+                capsys, [command, "--mp", "2", "--p", "2", "--np", "3", "--grid", *grid]
+            )
+            assert code == 2, (command, grid)
 
 
 # ------------------------------------------------------------------- sample
@@ -121,6 +126,23 @@ def test_sample_gsvd_rows_and_determinism(capsys):
     assert len(rows) == 10  # 5 draws x arity 2
     _, out2 = _run(capsys, args)
     assert out1 == out2
+
+
+def test_sample_json_data_ignores_workers(capsys):
+    # three chunks of draws: the data is byte-identical for any worker count
+    dumps = []
+    for workers in (1, 2, 3, 64):
+        code, out = _run(
+            capsys,
+            ["sample", "--sampler", "gsvd", "--m", "2", "--q", "3", "--n", "4",
+             "--samples", str(2 * CHUNK + 5), "--seed", "2", "--workers", str(workers),
+             "--format", "json"],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["meta"]["workers"] == workers and "workers" not in payload["data"]
+        dumps.append(json.dumps(payload["data"], sort_keys=True))
+    assert len(set(dumps)) == 1
 
 
 def test_sample_haar_wrong_regime(capsys):
@@ -263,6 +285,19 @@ def test_out_file_and_env_dir(tmp_path, monkeypatch, capsys):
     assert code == 0 and out == ""
     payload = json.loads((tmp_path / "d.json").read_text())
     assert payload["data"]["k"] == 4
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # a failed write exits 2 with one error line, never 1 (statistical fail)
+    missing = str(tmp_path / "missing" / "x.json")
+    for argv in (
+        ["dims", "--m", "2", "--q", "3", "--n", "4"],
+        ["verify", "normalization", "--mp", "2", "--p", "2", "--np", "3"],
+    ):
+        code = main(argv + ["--out", missing])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_float_formatting_round_trips(capsys):

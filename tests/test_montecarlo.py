@@ -1,5 +1,7 @@
 """Sampler contracts, KS machinery, and the experiment harness."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,13 +25,14 @@ from gsvdist import (
     run_experiment,
     sample_alpha_haar,
     sample_ginibre,
+    sample_haar_unitary,
     sample_q_power,
     sample_w_fmatrix,
     sample_w_gsvd,
     scalar_samples,
 )
 from gsvdist.errors import DegeneracyError, DimensionError, ParameterError, RegimeError
-from gsvdist.montecarlo import _chunk_sizes, _run_batch, ks_critical_constant
+from gsvdist.montecarlo import CHUNK, _chunk_sizes, _run_batch, ks_critical_constant
 
 
 # ----------------------------------------------------------------- samplers
@@ -49,15 +52,23 @@ def test_gsvd_batch_determinism():
 
 
 def test_gsvd_batch_workers_deterministic():
-    a = sample_w_gsvd(ProblemDims(2, 3, 4), 31, RngStream(5), workers=3)
-    b = sample_w_gsvd(ProblemDims(2, 3, 4), 31, RngStream(5), workers=3)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert a.values.shape == (31, 1)
+    # three chunks, the last one partial: the draws depend on the seed alone
+    count = 2 * CHUNK + 31
+    batches = [
+        sample_w_gsvd(ProblemDims(2, 3, 4), count, RngStream(5), workers=workers)
+        for workers in (1, 2, 3, 50)
+    ]
+    assert _chunk_sizes(count) == [CHUNK, CHUNK, 31]
+    assert batches[0].values.shape == (count, 1)
+    for batch in batches[1:]:
+        np.testing.assert_array_equal(
+            batch.values.view(np.uint64), batches[0].values.view(np.uint64)
+        )
 
 
 def test_batch_threads_are_capped_at_the_core_count(monkeypatch):
-    # 50 requested workers on 2 cores: 50 chunks, 2 threads.  A serial
-    # stand-in for the pool records the cap and starts no thread.
+    # 50 requested workers on 3 chunks: 2 threads on 2 cores, 3 on 64.  A
+    # serial stand-in for the pool records the cap and starts no thread.
     import threading
 
     import gsvdist.montecarlo as mc
@@ -82,8 +93,10 @@ def test_batch_threads_are_capped_at_the_core_count(monkeypatch):
     batches = []
     for cores in (2, 64):
         monkeypatch.setattr(mc.os, "cpu_count", lambda: cores)
-        batches.append(sample_w_gsvd(ProblemDims(2, 3, 4), 60, RngStream(5), workers=50))
-    assert caps == [2, 50] and threading.active_count() == threads
+        batches.append(
+            sample_w_gsvd(ProblemDims(2, 3, 4), 3 * CHUNK, RngStream(5), workers=50)
+        )
+    assert caps == [2, 3] and threading.active_count() == threads
     # the cap leaves the chunks, and so the draws, as they were
     np.testing.assert_array_equal(batches[0].values, batches[1].values)
 
@@ -139,12 +152,12 @@ def test_fmatrix_singular_gram_discards_only_its_draw(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_fmatrix_matches_the_inline_formula_bit_for_bit(triple, workers):
     # the ratio eigenvalues written out step by step (Cholesky of y y^H, a
-    # solve, z^H z, eigvalsh), chunk i drawn from substream i
+    # solve, z^H z, eigvalsh), fixed chunk i drawn from substream i
     rdims = ReducedDims(*triple)
-    count, rng = 600, RngStream(5)
+    count, rng = CHUNK + 600, RngStream(5)
     batch = sample_w_fmatrix(rdims, count, rng, workers=workers)
     chunks = []
-    for i, size in enumerate(_chunk_sizes(count, workers)):
+    for i, size in enumerate([CHUNK, 600]):
         gen = rng.substream(i).generator()
         x = sample_ginibre(rdims.m_prime, rdims.p, gen, count=size)
         y = sample_ginibre(rdims.m_prime, rdims.n_prime, gen, count=size)
@@ -180,6 +193,41 @@ def test_haar_block_routes_agree():
     upper = sample_alpha_haar(dims, n, RngStream(11, 0), block="upper_left")
     lower = sample_alpha_haar(dims, n, RngStream(11, 1), block="lower_right")
     assert ks_two_sample(upper, lower, 0.01).passed
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 4, 5)])
+def test_haar_lower_block_matches_the_inline_eigenvalues_bit_for_bit(dims):
+    # the Gram eigenvalues of the lower-right block written out, replaying
+    # the chunk's own Haar draws; the values are the eigenvalues themselves
+    dims = ProblemDims(*dims)
+    count, rng = 500, RngStream(6)
+    batch = sample_alpha_haar(dims, count, rng, block="lower_right")
+    u = sample_haar_unitary(dims.m + dims.q, rng.substream(0).generator(), count=count)
+    blk = u[:, dims.m :, dims.n :]
+    evals = np.linalg.eigvalsh(blk.conj().transpose(0, 2, 1) @ blk)[:, ::-1]
+    assert batch.failures == 0
+    np.testing.assert_array_equal(batch.values.view(np.uint64), evals.view(np.uint64))
+
+
+def test_haar_lower_block_discards_unit_and_zero_values_per_draw(monkeypatch):
+    # at (2,3,4) the lower-right block is column 4 below row 2: the identity
+    # gives it the value 1, a cyclic shift the value 0; each such draw is
+    # dropped on its own, and 2000 draws allow the two failures
+    import gsvdist.montecarlo as mc
+
+    replaced = []
+
+    def degenerate_first_draws(dim, rng, count=None):
+        u = sample_haar_unitary(dim, rng, count=count)
+        if not replaced:
+            u[0] = np.eye(dim)
+            u[1] = np.roll(np.eye(dim), 1, axis=0)
+            replaced.append(True)
+        return u
+
+    monkeypatch.setattr(mc, "sample_haar_unitary", degenerate_first_draws)
+    batch = mc.sample_alpha_haar(ProblemDims(2, 3, 4), 2000, RngStream(3), block="lower_right")
+    assert batch.failures == 2 and np.all((batch.values > 0.0) & (batch.values < 1.0))
 
 
 def test_q_power_batch_positive():
@@ -472,6 +520,26 @@ def test_report_determinism():
     a = run_experiment(Experiment.EQUIVALENCE, **kwargs)
     b = run_experiment(Experiment.EQUIVALENCE, **kwargs)
     assert a.to_dict(include_timing=False) == b.to_dict(include_timing=False)
+
+
+def test_report_payload_ignores_workers(capsys):
+    # the payload of a run and of its CLI dump depends on the seed alone
+    from gsvdist.cli import main
+
+    dims = ProblemDims(2, 3, 2)
+    payloads, dumps = [], []
+    for workers in (1, 2, 3, 64):
+        report = run_experiment(
+            Experiment.EQUIVALENCE, dims=dims, samples=2 * CHUNK + 7, seed=4, workers=workers
+        )
+        payloads.append(report.to_dict(include_timing=False))
+        main(["verify", "equivalence", "--m", "2", "--q", "3", "--n", "2",
+              "--samples", str(2 * CHUNK + 7), "--seed", "4", "--workers", str(workers)])
+        dumps.append(json.loads(capsys.readouterr().out))
+    assert "workers" not in payloads[0]
+    assert all(payload == payloads[0] for payload in payloads)
+    assert all(dump["data"] == payloads[0] for dump in dumps)
+    assert [dump["meta"]["workers"] for dump in dumps] == [1, 2, 3, 64]
 
 
 def test_report_records_inputs():
