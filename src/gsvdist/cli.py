@@ -240,7 +240,7 @@ def cmd_verify(args) -> int:
     )
 
     if args.format == "json":
-        payload = report.to_dict(include_timing=False)
+        payload = report.to_dict()
         meta_extra = {
             "seed": report.seed,
             "workers": report.workers,

@@ -148,25 +148,25 @@ def reduced_dims(dims: ProblemDims) -> ReducedDims | None:
 
 @dataclass(frozen=True, eq=False)
 class GsvdSpectrum:
-    """Paired diagonal values: alphas, betas, and w = alpha^2/beta^2."""
+    """Paired diagonal values: descending alphas; betas and w derive from them."""
 
     alphas: np.ndarray
-    betas: np.ndarray
-    w: np.ndarray
 
     def __post_init__(self):
-        a, b, w = self.alphas, self.betas, self.w
-        if not (a.shape == b.shape == w.shape) or a.ndim != 1:
-            raise DimensionError("spectrum arrays must be 1-d and equal length")
-        if a.size:
-            if np.any(a <= 0.0) or np.any(a >= 1.0) or np.any(np.diff(a) > 0):
-                raise DegeneracyError("alphas must lie in (0,1), descending")
-            if np.max(np.abs(a**2 + b**2 - 1.0)) > 1e-10:
-                raise DegeneracyError("alpha^2 + beta^2 deviates from 1")
-            if np.max(np.abs(w - a**2 / b**2) / np.maximum(w, 1e-300)) > 1e-8:
-                raise DegeneracyError("w inconsistent with alpha^2/beta^2")
-        for arr in (a, b, w):
-            arr.setflags(write=False)
+        a = self.alphas
+        if a.ndim != 1:
+            raise DimensionError("alphas must be a 1-d array")
+        if np.any(a <= 0.0) or np.any(a >= 1.0) or np.any(np.diff(a) > 0):
+            raise DegeneracyError("alphas must lie in (0,1), descending")
+        a.setflags(write=False)
+
+    @property
+    def betas(self) -> np.ndarray:
+        return np.sqrt(1.0 - self.alphas**2)
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.alphas**2 / (1.0 - self.alphas**2)
 
     def __len__(self) -> int:
         return self.alphas.size
@@ -222,13 +222,6 @@ def _mismatch(st: GsvdStructure) -> DegeneracyError:
         f"singular value classification mismatch: expected exactly {st.r} ones, "
         f"{st.s} interior values and no zeros"
     )
-
-
-def _spectrum_from_alphas(alphas: np.ndarray) -> GsvdSpectrum:
-    alphas = np.array(alphas, dtype=np.float64)
-    betas = np.sqrt(1.0 - alphas**2)
-    w = alphas**2 / (1.0 - alphas**2)
-    return GsvdSpectrum(alphas=alphas, betas=betas, w=w)
 
 
 def _stack_cosines(b: np.ndarray, m: int, st: GsvdStructure):
@@ -314,7 +307,7 @@ def gsvd_spectrum(a, c) -> GsvdSpectrum:
         )
     if not ok[0]:
         raise _mismatch(st)
-    return _spectrum_from_alphas(alphas[0])
+    return GsvdSpectrum(alphas[0])
 
 
 def gsvd_spectrum_direct(a, c) -> GsvdSpectrum:
@@ -335,7 +328,7 @@ def gsvd_spectrum_direct(a, c) -> GsvdSpectrum:
     w, ok = _stack_ratio(bh[:, :, : dims.m], bh[:, :, dims.m :], st.s)
     if not ok[0]:
         raise DecompositionError("c^H c fails the rank test, or some w <= 0")
-    return _spectrum_from_alphas(np.sqrt(w[0] / (1.0 + w[0])))
+    return GsvdSpectrum(np.sqrt(w[0] / (1.0 + w[0])))
 
 
 def gsvd_factorize(a, c) -> GsvdFactors:

@@ -165,7 +165,7 @@ class LawParams:
 def law_params(m_prime: int, p: int, n_prime: int) -> LawParams:
     """Validate a triple and derive the full law parameterization."""
     _validate_triple(m_prime, p, n_prime)
-    params = LawParams(
+    return LawParams(
         m_prime=m_prime,
         p=p,
         n_prime=n_prime,
@@ -175,9 +175,6 @@ def law_params(m_prime: int, p: int, n_prime: int) -> LawParams:
         t1_reciprocal=n_prime - m_prime,
         log_m=log_norm_constant(m_prime, p, n_prime),
     )
-    if params.t2 - params.t1 - 2 * params.l + 1 < 1:
-        raise ConsistencyError(f"Beta-argument positivity violated for {params}")
-    return params
 
 
 def _check_positive(w: np.ndarray) -> None:
@@ -488,6 +485,8 @@ def marginal_cdf(params: LawParams, w):
     w = np.asarray(w, dtype=np.float64)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
+    if w.size == 0:
+        raise DimensionError("empty evaluation point")
     if not (w >= 0.0).all():
         raise DimensionError("CDF points must be nonnegative (inf allowed)")
     table = _cdf_table(params.l, params.t1, params.t1_reciprocal)

@@ -84,26 +84,29 @@ class Experiment(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Seeded draws with provenance: one row per draw, one column per value."""
+    """Seeded draws with provenance; ``values`` is (count, arity), a row per draw."""
 
     sampler_id: SamplerId
     dims: tuple[int, ...]
     seed: int
     stream_index: int
-    count: int
-    arity: int
     values: np.ndarray
     failures: int = 0
 
     def __post_init__(self):
-        if self.values.shape != (self.count, self.arity):
-            raise DimensionError(
-                f"values shape {self.values.shape} != (count, arity) = "
-                f"({self.count}, {self.arity})"
-            )
+        if self.values.ndim != 2:
+            raise DimensionError(f"values must be 2-d, got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0.0):
             raise DegeneracyError("batch values must be finite and positive")
         self.values.setflags(write=False)
+
+    @property
+    def count(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def arity(self) -> int:
+        return self.values.shape[1]
 
 
 def _chunk_sizes(count: int) -> list[int]:
@@ -115,29 +118,26 @@ def _over_budget(failures: int, drawn: int) -> bool:
     return failures > max(1.0, MAX_FAILURE_RATE * drawn)
 
 
-def _fill_chunk(draw_fn, gen: np.random.Generator, quota: int, arity: int):
+def _fill_chunk(draw_fn, gen: np.random.Generator, quota: int):
     """Draw until the quota is met, discarding and counting bad rows."""
-    rows = np.empty((quota, arity))
+    rows = []
     filled = 0
     failures = 0
     while filled < quota:
-        need = quota - filled
-        good, bad = draw_fn(gen, need)
+        good, bad = draw_fn(gen, quota - filled)
         failures += bad
         if _over_budget(failures, quota + failures):
             raise DegeneracyError(
                 f"chunk aborted: {failures} degenerate draws against quota {quota}"
             )
-        take = min(good.shape[0], need)
-        rows[filled : filled + take] = good[:take]
-        filled += take
-    return rows, failures
+        rows.append(good[: quota - filled])
+        filled += rows[-1].shape[0]
+    return np.concatenate(rows), failures
 
 
 def _run_batch(
     sampler_id: SamplerId,
     dims_tuple: tuple[int, ...],
-    arity: int,
     draw_fn,
     count: int,
     rng: RngStream,
@@ -151,7 +151,7 @@ def _run_batch(
 
     def run(job):
         i, size = job
-        return _fill_chunk(draw_fn, rng.substream(i).generator(), size, arity)
+        return _fill_chunk(draw_fn, rng.substream(i).generator(), size)
 
     # the chunks fix the draws; the threads only schedule them
     threads = min(workers, len(jobs), os.cpu_count() or 1)
@@ -173,8 +173,6 @@ def _run_batch(
         dims=dims_tuple,
         seed=rng.master_seed,
         stream_index=rng.stream_index,
-        count=count,
-        arity=arity,
         values=values,
         failures=failures,
     )
@@ -198,7 +196,7 @@ def sample_w_gsvd(
         alphas = alphas[ok]
         return alphas**2 / (1.0 - alphas**2), int(np.count_nonzero(~ok))
 
-    return _run_batch(SamplerId.GSVD, dims.as_tuple(), st.s, draw, count, rng, workers)
+    return _run_batch(SamplerId.GSVD, dims.as_tuple(), draw, count, rng, workers)
 
 
 def sample_w_fmatrix(
@@ -213,17 +211,14 @@ def sample_w_fmatrix(
     rank test is discarded and counted on its own.
     """
     mp, p, npr = rdims.m_prime, rdims.p, rdims.n_prime
-    l = rdims.l
 
     def draw(gen, want):
         x = sample_ginibre(mp, p, gen, count=want)
         y = sample_ginibre(mp, npr, gen, count=want)
-        w, ok = _stack_ratio(x, y, l)
+        w, ok = _stack_ratio(x, y, rdims.l)
         return w[ok], int(np.count_nonzero(~ok))
 
-    return _run_batch(
-        SamplerId.F_MATRIX, rdims.as_tuple(), l, draw, count, rng, workers
-    )
+    return _run_batch(SamplerId.F_MATRIX, rdims.as_tuple(), draw, count, rng, workers)
 
 
 def sample_alpha_haar(
@@ -241,6 +236,13 @@ def sample_alpha_haar(
     complementary lower-right block (``block="lower_right"``): the two
     blocks share their non-one spectrum.  Values are alpha^2, i.e.
     ``w / (1 + w)``; convert with :func:`alpha_sq_to_w`.
+
+    Built by QR, the unitary's first n columns are, up to column phases,
+    the Q factor of its Gaussian draw's first n columns, so the upper-left
+    route repeats the QR-then-CS arithmetic of :func:`sample_w_gsvd`:
+    ``haar_truncation_vs_gsvd`` checks the Haar construction and the
+    streams, and the lower-right Gram route (``haar_block_equivalence``) is
+    the one with arithmetic of its own.
     """
     st = compute_structure(dims)
     if st.regime is not Regime.INTERMEDIATE:
@@ -249,7 +251,7 @@ def sample_alpha_haar(
             f"({st.regime.value})"
         )
     if block not in ("upper_left", "lower_right"):
-        raise ValueError(f"unknown block {block!r}")
+        raise ParameterError(f"unknown block {block!r}")
     m, q, n = dims.m, dims.q, dims.n
     dim = m + q
 
@@ -264,9 +266,7 @@ def sample_alpha_haar(
         _, ok = _classify(np.sqrt(np.maximum(evals, 0.0)), replace(st, r=0))
         return evals[ok], int(np.count_nonzero(~ok))
 
-    return _run_batch(
-        SamplerId.HAAR_BLOCK, dims.as_tuple(), st.s, draw, count, rng, workers
-    )
+    return _run_batch(SamplerId.HAAR_BLOCK, dims.as_tuple(), draw, count, rng, workers)
 
 
 def sample_q_power(
@@ -283,7 +283,7 @@ def sample_q_power(
         totals, ok = _stack_power(np.concatenate([a, c], axis=1))
         return totals[ok][:, None], int(np.count_nonzero(~ok))
 
-    return _run_batch(SamplerId.Q_POWER, dims.as_tuple(), 1, draw, count, rng, workers)
+    return _run_batch(SamplerId.Q_POWER, dims.as_tuple(), draw, count, rng, workers)
 
 
 def alpha_sq_to_w(batch: SampleBatch) -> SampleBatch:
@@ -299,8 +299,6 @@ def scalar_samples(batch: SampleBatch) -> np.ndarray:
     eigenvalue per draw is chosen uniformly, using a reserved substream of
     the batch's own stream so the reduction is reproducible.
     """
-    if batch.arity == 1:
-        return batch.values[:, 0]
     gen = RngStream(batch.seed, batch.stream_index).substream(
         _REDUCE_CHANNEL
     ).generator()
@@ -425,11 +423,11 @@ class VerificationReport:
     alpha_level: float | None
     checks: tuple[tuple[str, dict], ...]
     passed: bool
-    elapsed_seconds: float
+    elapsed_seconds: float  # timing: not part of to_dict()
     notes: tuple[str, ...]
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "experiment": self.experiment,
             "dims": dict(self.dims),
             "seed": self.seed,
@@ -439,9 +437,6 @@ class VerificationReport:
             "passed": self.passed,
             "notes": list(self.notes),
         }
-        if include_timing:
-            out["elapsed_seconds"] = self.elapsed_seconds
-        return out
 
 
 _CALIBRATION_NOTE = (

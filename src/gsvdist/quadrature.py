@@ -13,17 +13,13 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import QuadratureError
+from .errors import ParameterError, QuadratureError
 
 
-def quadrature_integrate(
-    f: Callable[[float], float],
-    rel_tol: float = 1e-8,
-    subdivision_limit: int = 200,
-) -> float:
+def quadrature_integrate(f: Callable[[float], float], rel_tol: float = 1e-8) -> float:
     """Integral of ``f`` over (0, inf) with estimated relative error <= rel_tol."""
     if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
+        raise ParameterError(f"rel_tol must be in (0, 1), got {rel_tol}")
 
     def transformed(u: float) -> float:
         w = u / (1.0 - u)
@@ -35,7 +31,7 @@ def quadrature_integrate(
         1.0,
         epsabs=0.0,
         epsrel=rel_tol,
-        limit=subdivision_limit,
+        limit=200,
         full_output=1,
     )
     value, abs_err = float(result[0]), float(result[1])

@@ -337,6 +337,16 @@ def test_marginal_pdf_rejects_bad_points():
         marginal_pdf(params, 0.0)
     with pytest.raises(DimensionError):
         marginal_pdf(params, np.array([1.0, np.inf]))
+    with pytest.raises(DimensionError, match="empty"):
+        marginal_pdf(params, np.array([]))
+
+
+def test_marginal_cdf_rejects_bad_points():
+    params = law_params(2, 2, 3)
+    with pytest.raises(DimensionError, match="empty"):
+        marginal_cdf(params, np.array([]))
+    with pytest.raises(DimensionError):
+        marginal_cdf(params, np.array([1.0, -1.0]))
 
 
 # --------------------------------------------------------------- reciprocal
@@ -406,6 +416,26 @@ def test_cdf_boundaries():
     assert marginal_cdf(params, 0.0) == 0.0
     assert marginal_cdf(params, np.inf) == pytest.approx(1.0, abs=1e-8)
     assert marginal_cdf(params, 1e14) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_cdf_reciprocal_identity():
+    # the law of 1/w swaps a = t1 and b = n' - m', so F(w) + F_R(1/w) = 1;
+    # a point below the split of one table is above the split of the other,
+    # so each half of the closed form is checked against the other
+    grid = np.geomspace(1e-3, 1e3, 41)
+    worst = 0.0
+    for m_prime in range(1, 9):
+        for p in range(1, 9):
+            for n_prime in range(m_prime, 12):
+                if p >= m_prime:
+                    reflected = (m_prime, n_prime, p)
+                else:
+                    reflected = (p, p + n_prime - m_prime, m_prime)
+                total = marginal_cdf(law_params(m_prime, p, n_prime), grid) + marginal_cdf(
+                    law_params(*reflected), 1.0 / grid
+                )
+                worst = max(worst, float(np.max(np.abs(total - 1.0))))
+    assert worst <= 1e-14
 
 
 def test_cdf_monotone():

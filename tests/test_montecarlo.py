@@ -31,7 +31,14 @@ from gsvdist import (
     sample_w_gsvd,
     scalar_samples,
 )
-from gsvdist.errors import DegeneracyError, DimensionError, ParameterError, RegimeError
+from gsvdist.engine import _stack_cosines, compute_structure
+from gsvdist.errors import (
+    DegeneracyError,
+    DimensionError,
+    GsvdistError,
+    ParameterError,
+    RegimeError,
+)
 from gsvdist.montecarlo import CHUNK, _chunk_sizes, _run_batch, ks_critical_constant
 
 
@@ -187,6 +194,27 @@ def test_haar_regime_restriction():
         sample_alpha_haar(ProblemDims(2, 3, 2), 5, RngStream(0))
 
 
+def test_haar_rejects_an_unknown_block():
+    with pytest.raises(ParameterError):
+        sample_alpha_haar(ProblemDims(2, 3, 4), 5, RngStream(0), block="x")
+    assert issubclass(ParameterError, GsvdistError)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 4, 5), (2, 5, 6)])
+def test_haar_upper_block_is_the_qr_then_cs_route(dims):
+    # a QR-built Haar unitary's first n columns are the phase-corrected Q
+    # factor of its Gaussian draw's first n columns, so the upper-left route
+    # computes _stack_cosines' cosines of those columns: haar_truncation_vs_gsvd
+    # checks the Haar construction and the streams, not that kernel
+    dims = ProblemDims(*dims)
+    count, rng = 500, RngStream(8)
+    batch = sample_alpha_haar(dims, count, rng)
+    z = sample_ginibre(dims.m + dims.q, dims.m + dims.q, rng.substream(0).generator(), count=count)
+    alphas, ok, _ = _stack_cosines(z[:, :, : dims.n], dims.m, compute_structure(dims))
+    assert batch.failures == np.count_nonzero(~ok) == 0
+    np.testing.assert_allclose(batch.values, alphas**2, rtol=0.0, atol=1e-13)
+
+
 def test_haar_block_routes_agree():
     dims = ProblemDims(2, 3, 4)
     n = 20_000
@@ -265,17 +293,13 @@ def _fake_draw(bad_per_call):
 
 
 def test_run_batch_counts_failures():
-    batch = _run_batch(
-        SamplerId.GSVD, (1, 1, 1), 1, _fake_draw(0), 50, RngStream(1), 1
-    )
+    batch = _run_batch(SamplerId.GSVD, (1, 1, 1), _fake_draw(0), 50, RngStream(1), 1)
     assert batch.failures == 0
 
 
 def test_run_batch_aborts_on_failure_rate():
     with pytest.raises(DegeneracyError):
-        _run_batch(
-            SamplerId.GSVD, (1, 1, 1), 1, _fake_draw(200), 400, RngStream(1), 1
-        )
+        _run_batch(SamplerId.GSVD, (1, 1, 1), _fake_draw(200), 400, RngStream(1), 1)
 
 
 def test_run_batch_keeps_one_discard_in_a_small_batch():
@@ -286,7 +310,7 @@ def test_run_batch_keeps_one_discard_in_a_small_batch():
         bad = int(want == 50)
         return vals[bad:], bad
 
-    batch = _run_batch(SamplerId.GSVD, (1, 1, 1), 1, draw, 50, RngStream(1), 1)
+    batch = _run_batch(SamplerId.GSVD, (1, 1, 1), draw, 50, RngStream(1), 1)
     assert batch.failures == 1 and batch.count == 50
 
 
@@ -300,8 +324,6 @@ def _synthetic_batch(values, seed=0, stream=0):
         dims=(1, 1, 1),
         seed=seed,
         stream_index=stream,
-        count=values.shape[0],
-        arity=values.shape[1],
         values=values,
     )
 
@@ -519,7 +541,7 @@ def test_report_determinism():
     kwargs = dict(dims=ProblemDims(2, 3, 2), samples=2_000, seed=123, workers=2)
     a = run_experiment(Experiment.EQUIVALENCE, **kwargs)
     b = run_experiment(Experiment.EQUIVALENCE, **kwargs)
-    assert a.to_dict(include_timing=False) == b.to_dict(include_timing=False)
+    assert a.to_dict() == b.to_dict()
 
 
 def test_report_payload_ignores_workers(capsys):
@@ -532,7 +554,7 @@ def test_report_payload_ignores_workers(capsys):
         report = run_experiment(
             Experiment.EQUIVALENCE, dims=dims, samples=2 * CHUNK + 7, seed=4, workers=workers
         )
-        payloads.append(report.to_dict(include_timing=False))
+        payloads.append(report.to_dict())
         main(["verify", "equivalence", "--m", "2", "--q", "3", "--n", "2",
               "--samples", str(2 * CHUNK + 7), "--seed", "4", "--workers", str(workers)])
         dumps.append(json.loads(capsys.readouterr().out))
@@ -556,3 +578,37 @@ def test_batch_validation():
         sample_w_gsvd(ProblemDims(2, 3, 2), 0, RngStream(0))
     with pytest.raises(DegeneracyError):
         _synthetic_batch([1.0, -2.0])
+    with pytest.raises(DimensionError):
+        SampleBatch(SamplerId.Q_POWER, (1, 1, 1), 0, 0, np.ones(3))
+    batch = _synthetic_batch(np.ones((4, 3)))
+    with pytest.raises(AttributeError):
+        batch.count = 5
+    assert (batch.count, batch.arity) == (4, 3)
+
+
+def test_the_calls_the_benchmark_makes(monkeypatch):
+    # the benchmark counts draws by rebinding the samplers here, calls the
+    # package as below, and keeps a batch's count and failures only when
+    # they are ints: a signature it relies on breaks here first
+    import gsvdist.montecarlo as mc
+
+    batches = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            batches.append(real(*args, **kwargs))
+            return batches[-1]
+
+        return wrapper
+
+    for name in ("sample_w_gsvd", "sample_w_fmatrix", "sample_alpha_haar", "sample_q_power"):
+        monkeypatch.setattr(mc, name, counting(getattr(mc, name)))
+    plan = (("equivalence", (4, 5, 3)), ("haar", (2, 3, 4)), ("marginal", (2, 3, 2)),
+            ("qpower", (2, 2, 8)))
+    for experiment, dims in plan:
+        report = run_experiment(experiment, dims=ProblemDims(*dims), samples=40, seed=0, workers=2)
+        assert isinstance(report.passed, bool)
+    batches.append(sample_w_gsvd(ProblemDims(2, 3, 2), 30, RngStream(0, 0), 2))
+    assert sum(batch.count for batch in batches) == 40 * 8 + 30
+    assert all(type(batch.count) is int and type(batch.failures) is int for batch in batches)
+    assert quadrature_integrate(lambda w: (1.0 + w) ** -2, 1e-8) == pytest.approx(1.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gsvdist import law_params, marginal_pdf, quadrature_integrate
-from gsvdist.errors import QuadratureError
+from gsvdist.errors import ParameterError, QuadratureError
 
 
 def test_analytic_antiderivative():
@@ -40,7 +40,8 @@ def test_divergent_integrand_raises():
 
 
 def test_bad_tolerance_rejected():
-    with pytest.raises(ValueError):
+    # a ParameterError, which is also a ValueError
+    with pytest.raises(ParameterError):
         quadrature_integrate(lambda w: np.exp(-w), 0.0)
 
 
