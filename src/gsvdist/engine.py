@@ -12,7 +12,8 @@ Three private batched kernels do the numerical work; each serves one
 sampler and, as its batch of one, one single-pair function.
 ``_stack_cosines`` is the QR-then-CS route: whenever s >= 1 the stack
 ``[a; c]`` has full column rank, and the alphas are the singular values of
-the top m rows of its Q factor.  ``_stack_ratio`` gives the eigenvalues of
+the top m rows of its Q factor, by the cosine-sine step ``_top_cosines``
+that the Haar sampler shares.  ``_stack_ratio`` gives the eigenvalues of
 ``x^H (y y^H)^{-1} x`` by a Cholesky solve, and ``_stack_power`` the trace
 of the inverse of the smaller stacked Gram.  The last two share
 ``_stack_cholesky``, the one rank test of a Gram.
@@ -132,6 +133,14 @@ def compute_structure(dims: ProblemDims) -> GsvdStructure:
     return GsvdStructure(k=k, r=r, s=s, regime=regime)
 
 
+def _random_structure(dims: ProblemDims) -> GsvdStructure:
+    """The structure of ``dims``, refused with :class:`RegimeError` when s = 0."""
+    st = compute_structure(dims)
+    if st.s == 0:
+        raise RegimeError(f"dims {dims.as_tuple()} are deterministic (s = 0): no random spectrum")
+    return st
+
+
 def reduced_dims(dims: ProblemDims) -> ReducedDims | None:
     """Map (m, q, n) to the ratio-ensemble dimensions (m', p, n').
 
@@ -224,6 +233,11 @@ def _mismatch(st: GsvdStructure) -> DegeneracyError:
     )
 
 
+def _top_cosines(basis: np.ndarray, m: int, st: GsvdStructure):
+    """:func:`_classify` of the singular values of the top m rows of orthonormal bases."""
+    return _classify(np.linalg.svd(basis[:, :m, :], compute_uv=False), st)
+
+
 def _stack_cosines(b: np.ndarray, m: int, st: GsvdStructure):
     """QR-then-CS reduction of a batch of stacks ``b``, shape (count, m+q, n).
 
@@ -235,7 +249,7 @@ def _stack_cosines(b: np.ndarray, m: int, st: GsvdStructure):
     qf, rf = np.linalg.qr(b)
     diag = np.abs(np.diagonal(rf, axis1=-2, axis2=-1))
     full_rank = diag.min(axis=-1) > RANK_TOL * diag.max(axis=-1)
-    alphas, classified = _classify(np.linalg.svd(qf[:, :m, :], compute_uv=False), st)
+    alphas, classified = _top_cosines(qf, m, st)
     return alphas, full_rank & classified, full_rank
 
 
@@ -294,12 +308,7 @@ def gsvd_spectrum(a, c) -> GsvdSpectrum:
     ``w = alpha^2 / (1 - alpha^2)``.
     """
     dims, b = _pair_stack(a, c)
-    st = compute_structure(dims)
-    if st.s == 0:
-        raise RegimeError(
-            f"dims {dims.as_tuple()} are in the {st.regime.value} regime: "
-            "s = 0, the pair has no random spectrum"
-        )
+    st = _random_structure(dims)
     alphas, ok, full_rank = _stack_cosines(b[None], dims.m, st)
     if not full_rank[0]:
         raise DecompositionError(

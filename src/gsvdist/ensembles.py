@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 
 _U64 = (1 << 64) - 1
 _SUBSTREAM_TAG = 1 << 62
@@ -61,11 +61,11 @@ class RngStream:
         never collide with top-level ones.
         """
         if self.stream_index >= _SUBSTREAM_TAG:
-            raise ValueError("substreams cannot be subdivided further")
+            raise ParameterError("substreams cannot be subdivided further")
         if not 0 <= self.stream_index < _SUBSTREAM_CAP:
-            raise ValueError(f"stream index too large to subdivide: {self.stream_index}")
+            raise ParameterError(f"stream index too large to subdivide: {self.stream_index}")
         if not 0 <= index < _SUBSTREAM_CAP:
-            raise ValueError(f"substream index out of range: {index}")
+            raise ParameterError(f"substream index out of range: {index}")
         return RngStream(self.master_seed, _SUBSTREAM_TAG | (self.stream_index << 31) | index)
 
 

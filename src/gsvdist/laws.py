@@ -55,13 +55,15 @@ costs about ``l^2 / 2`` recurrence steps and as many products.
 For integer exponents ``I_u(pu, pv)``, ``pu = a+1``, ``pv = b+1``, is the
 binomial tail ``sum_{j>=pu} C(n, j) u^j (1-u)^(n-j)``, ``n = pu + pv - 1``.
 Below ``w = pu/pv`` (the mean of ``u`` under the Beta weight) those terms
-fall with ``j``; above it the terms ``j < pu`` fall, and ``F`` is one
-minus their sum minus the correction, which keeps values near one
-accurate.  Either way the tail is a Horner sum with coefficients in
-(0, 1], which cannot overflow for any exponents; terms that sum to less
-than ``2^-60`` of the leading one are dropped, which leaves fewer than
-``max(pu, pv)`` Horner steps: 145 at (400, 3, 900), 21 at ``a = 0``,
-``b = 2999``.
+fall with ``j``.  Above it ``F(w)`` is one minus the reflected law's
+``F(1/w)``, whose exponents are ``(b, a)`` and whose correction is this
+one with the opposite sign: its constants are the reflected law's below
+its split, ``(pu, pv) -> (pv, pu)``, which keeps values near one accurate
+(``test_cdf_reciprocal_identity`` checks the identity).  Either way the
+tail is a Horner sum with coefficients in (0, 1], which cannot overflow
+for any exponents; terms that sum to less than ``2^-60`` of the leading
+one are dropped, which leaves fewer than ``max(pu, pv)`` Horner steps:
+145 at (400, 3, 900), 21 at ``a = 0``, ``b = 2999``.
 
 Error bound, measured against exact rational inversion of the Hankel
 moment matrix ``G_ij = B(t1+i+j+1, t2-t1-i-j-1)`` and 60-digit mpmath on a
@@ -85,10 +87,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
+from .engine import ReducedDims
 from .errors import ConsistencyError, DimensionError, PoleError
 
 LOG_PI = math.log(math.pi)
@@ -118,28 +122,12 @@ def log_norm_constant(m_prime: int, p: int, n_prime: int) -> float:
     ``d(d-1)`` (not halved) with ``d`` the smaller of the two, exactly as
     the density requires.
     """
-    _validate_triple(m_prime, p, n_prime)
-    if p >= m_prime:
-        d = m_prime
-        others = (p, n_prime, d)
-    else:
-        d = p
-        others = (m_prime, p + n_prime - m_prime, d)
+    d = ReducedDims(m_prime, p, n_prime).l
+    others = (p, n_prime, d) if p >= m_prime else (m_prime, p + n_prime - m_prime, d)
     value = d * (d - 1) * LOG_PI + log_mvgamma(d, p + n_prime) - math.lgamma(d + 1)
     for arg in others:
         value -= log_mvgamma(d, arg)
     return value
-
-
-def _validate_triple(m_prime: int, p: int, n_prime: int) -> None:
-    if min(m_prime, p, n_prime) < 1:
-        raise DimensionError(
-            f"law parameters must be >= 1, got ({m_prime}, {p}, {n_prime})"
-        )
-    if m_prime > n_prime:
-        raise DimensionError(
-            f"need m' <= n', got m' = {m_prime}, n' = {n_prime}"
-        )
 
 
 @dataclass(frozen=True)
@@ -163,13 +151,12 @@ class LawParams:
 
 
 def law_params(m_prime: int, p: int, n_prime: int) -> LawParams:
-    """Validate a triple and derive the full law parameterization."""
-    _validate_triple(m_prime, p, n_prime)
+    """Validate a triple as :class:`ReducedDims` and derive the full law parameterization."""
     return LawParams(
         m_prime=m_prime,
         p=p,
         n_prime=n_prime,
-        l=min(p, m_prime),
+        l=ReducedDims(m_prime, p, n_prime).l,
         t1=abs(m_prime - p),
         t2=p + n_prime,
         t1_reciprocal=n_prime - m_prime,
@@ -305,7 +292,9 @@ def marginal_pdf_reciprocal(params: LawParams, w):
 class _CdfTable(NamedTuple):
     """Constants of :func:`marginal_cdf` for one ``(l, a, b)``.
 
-    Pairs hold the value below the split, then above it.  ``horner`` lists
+    Pairs hold the value below the split, then above it, where the values
+    are the reflected law's, ``(a, b) -> (b, a)``, below its split; only
+    the correction's ``scale`` changes sign there.  ``horner`` lists
     the binomial-tail coefficients from the highest degree down.  ``top``
     is the one member of the deepest family, and ``ladder`` has one entry
     per shift ``j < l-1``, deepest first: the factor ``1/rho`` that nests
@@ -361,17 +350,18 @@ def _scaled_steps(x: int, y: int, factor: list[float]) -> tuple:
 def _cdf_table(l: int, a: int, b: int) -> _CdfTable:
     pu, pv = a + 1, b + 1
     n = pu + pv - 1
-    # each binomial term over the leading one, at the split: products of
-    # ratios of neighbouring terms, every ratio below one
-    below = _leading_terms(
-        [pu * (pv - 1 - i) / (pv * (pu + 1 + i)) for i in range(pv - 1)]
-    )
-    above = _leading_terms(
-        [pv * (pu - 1 - i) / (pu * (pv + 1 + i)) for i in range(pu - 1)]
-    )
-    size = max(len(below), len(above))
-    below += [0.0] * (size - len(below))
-    above += [0.0] * (size - len(above))
+    # per side, the binomial terms over the leading one at the split (each
+    # ratio of neighbours below one), the leading log binomial, and
+    # omega_{a+1,b+1} / l over the leading term times v; above the split
+    # they are the reflected law's, (pv, pu), whose correction changes sign
+    terms, log_binom, scale = zip(*(
+        (
+            _leading_terms([x * (y - 1 - i) / (y * (x + 1 + i)) for i in range(y - 1)]),
+            math.log(math.comb(n, x)),
+            (n + 1) * (n + 2) / (l * y),
+        )
+        for x, y in ((pu, pv), (pv, pu))
+    ))
     # Family j is P^(a+j,b+j)_k, k < l-j, times factors f_jk chosen so that
     # f_{j+1,m-1} f_jm is the constant -sqrt(rho_{x,y} / (m (m+x+y+1))) of
     # term m of R_j: each term is then one product of two members
@@ -395,11 +385,9 @@ def _cdf_table(l: int, a: int, b: int) -> _CdfTable:
         split=pu / pv,
         n=n,
         power=(pu, pv),
-        log_binom=(math.log(math.comb(n, pu)), math.log(math.comb(n, pu - 1))),
-        horner=tuple(zip(below, above))[::-1],
-        # omega_{a+1,b+1} / l over each side's leading term times v (below)
-        # or u (above), with the sign of that side
-        scale=((n + 1) * (n + 2) / (l * pv), -(n + 1) * (n + 2) / (l * pu)),
+        log_binom=log_binom,
+        horner=tuple(zip_longest(*terms, fillvalue=0.0))[::-1],
+        scale=(scale[0], -scale[1]),
         top=factors[-1][0],
         ladder=tuple(ladder),
     )

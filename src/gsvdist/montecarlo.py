@@ -35,9 +35,11 @@ from .engine import (
     ReducedDims,
     Regime,
     _classify,
+    _random_structure,
     _stack_cosines,
     _stack_power,
     _stack_ratio,
+    _top_cosines,
     compute_structure,
     expected_q_power,
     reduced_dims,
@@ -182,11 +184,7 @@ def sample_w_gsvd(
     dims: ProblemDims, count: int, rng: RngStream, workers: int = 1
 ) -> SampleBatch:
     """Spectrum draws from fresh Gaussian pairs via the QR-then-CS kernel."""
-    st = compute_structure(dims)
-    if st.regime is Regime.DETERMINISTIC:
-        raise RegimeError(
-            f"dims {dims.as_tuple()} are deterministic (s = 0): nothing to sample"
-        )
+    st = _random_structure(dims)
     m, q, n = dims.m, dims.q, dims.n
 
     def draw(gen, want):
@@ -239,7 +237,7 @@ def sample_alpha_haar(
 
     Built by QR, the unitary's first n columns are, up to column phases,
     the Q factor of its Gaussian draw's first n columns, so the upper-left
-    route repeats the QR-then-CS arithmetic of :func:`sample_w_gsvd`:
+    route is the cosine-sine step of :func:`sample_w_gsvd` on those columns:
     ``haar_truncation_vs_gsvd`` checks the Haar construction and the
     streams, and the lower-right Gram route (``haar_block_equivalence``) is
     the one with arithmetic of its own.
@@ -258,7 +256,7 @@ def sample_alpha_haar(
     def draw(gen, want):
         u = sample_haar_unitary(dim, gen, count=want)
         if block == "upper_left":
-            alphas, ok = _classify(np.linalg.svd(u[:, :m, :n], compute_uv=False), st)
+            alphas, ok = _top_cosines(u[:, :, :n], m, st)
             return alphas[ok] ** 2, int(np.count_nonzero(~ok))
         blk = u[:, m:, n:]
         evals = np.linalg.eigvalsh(blk.conj().transpose(0, 2, 1) @ blk)[:, ::-1]
@@ -348,6 +346,12 @@ def ks_critical_constant(alpha_level: float) -> float:
     return sqrt(-np.log(alpha_level / 2.0) / 2.0)
 
 
+def _ks_critical_value(alpha_level: float, n1: int, n2: int = 0) -> float:
+    """The KS critical value for samples of n1 and n2 values; n2 = 0 is one-sample."""
+    c = ks_critical_constant(alpha_level)
+    return c * sqrt((n1 + n2) / (n1 * n2)) if n2 else c / sqrt(n1)
+
+
 def ks_two_sample(
     a: SampleBatch, b: SampleBatch, alpha_level: float = 0.01
 ) -> KsReport:
@@ -361,7 +365,7 @@ def ks_two_sample(
     cdf_x = np.searchsorted(x, grid, side="right") / n1
     cdf_y = np.searchsorted(y, grid, side="right") / n2
     stat = float(np.max(np.abs(cdf_x - cdf_y)))
-    crit = ks_critical_constant(alpha_level) * sqrt((n1 + n2) / (n1 * n2))
+    crit = _ks_critical_value(alpha_level, n1, n2)
     return KsReport(
         statistic=stat,
         critical_value=crit,
@@ -384,7 +388,7 @@ def ks_one_sample(
     upper = np.max(np.arange(1, n + 1) / n - cdf)
     lower = np.max(cdf - np.arange(0, n) / n)
     stat = float(max(upper, lower))
-    crit = ks_critical_constant(alpha_level) / sqrt(n)
+    crit = _ks_critical_value(alpha_level, n)
     return KsReport(
         statistic=stat,
         critical_value=crit,
@@ -467,6 +471,13 @@ _TESTS = {
         batches[0].values, expected_q_power(dims)
     ),
 }
+# test -> whether n draws per batch leave it unable to reject: a KS
+# statistic never exceeds one, and a mean test needs two draws
+_POWERLESS = {
+    "ks_two_sample": lambda n, alpha: _ks_critical_value(alpha, n, n) >= 1.0,
+    "ks_one_sample": lambda n, alpha: _ks_critical_value(alpha, n) >= 1.0,
+    "mean": lambda n, alpha: n < 2,
+}
 
 
 class _Sampling(NamedTuple):
@@ -507,8 +518,7 @@ def _sampling_checks(experiment, dims, samples, seed, workers, alpha_level):
     rd = reduced_dims(dims)
     record = asdict(dims)
     if spec.reads_reduced:
-        if rd is None:
-            raise RegimeError(f"dims {dims.as_tuple()} have no random spectrum (s = 0)")
+        _random_structure(dims)
         record.update(asdict(rd))
     gap = abs(dims.m + dims.q - dims.n)
     if spec.mean_gap and gap < MEAN_TEST_MIN_GAP:
@@ -517,6 +527,9 @@ def _sampling_checks(experiment, dims, samples, seed, workers, alpha_level):
             "closed-form mean is undefined at m + q = n, and near that boundary "
             "the sampling variance makes a 3-sigma acceptance meaningless"
         )
+    for name, test, _ in spec.checks:
+        if samples < 1 or _POWERLESS[test](samples, alpha_level):
+            raise ParameterError(f"samples = {samples} is too few: {name} could not reject")
 
     batches = {
         (src, i): _SOURCES[src](dims, rd, samples, RngStream(seed, i), workers)
@@ -535,17 +548,17 @@ def _normalization_checks(reduced):
     if reduced is None:
         raise RegimeError("normalization experiment needs reduced dimensions")
     params = law_params(*reduced.as_tuple())
-    record = asdict(reduced)
-    integral = quadrature_integrate(lambda w: marginal_pdf(params, w), 1e-8)
-    tail = float(marginal_cdf(params, np.inf))
+    pdf = lambda w: marginal_pdf(params, w)  # noqa: E731
     checks = []
-    for name, kind, value, tol in (
-        ("density_normalization", "quadrature", integral, 1e-6),
-        ("cdf_upper_limit", "limit", tail, 1e-8),
+    # pdf * cdf is d(F^2 / 2)/dw, so it integrates to 1/2 for any continuous law
+    for name, f, target, tol in (
+        ("density_normalization", pdf, 1.0, 1e-6),
+        ("cdf_against_density", lambda w: pdf(w) * marginal_cdf(params, w), 0.5, 1e-8),
     ):
-        check = {"kind": kind, "value": value, "target": 1.0, "tolerance": tol}
-        checks.append((name, {**check, "passed": bool(abs(value - 1.0) <= tol)}))
-    return record, checks
+        value = quadrature_integrate(f, 1e-8)
+        check = {"kind": "quadrature", "value": value, "target": target, "tolerance": tol}
+        checks.append((name, {**check, "passed": bool(abs(value - target) <= tol)}))
+    return asdict(reduced), checks
 
 
 def run_experiment(
@@ -564,7 +577,8 @@ def run_experiment(
     i)`` from ``RngStream(seed, i)``.  A missing input, ``s = 0`` where the
     reduced triple is read, or a mean test closer than ``MEAN_TEST_MIN_GAP``
     to ``m + q = n`` raises :class:`RegimeError` before any draw, and an
-    ``alpha_level`` outside (0, 1) raises :class:`ParameterError` there.
+    ``alpha_level`` outside (0, 1), or ``samples`` so few that some check
+    could not reject, raises :class:`ParameterError` there.
     The report is a pure function of the seed; ``workers`` sets threads
     only, and appears in the report's attributes but not in ``to_dict``.
     """

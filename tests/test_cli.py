@@ -253,6 +253,31 @@ def test_verify_normalization_order_eight(capsys):
     assert checks[0]["value"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_verify_refuses_samples_that_cannot_reject(capsys):
+    # exit 2 with the reason, before any draw: a KS critical value >= 1 or
+    # a single draw for the mean test
+    for argv in (
+        ["verify", "marginal", "--m", "2", "--q", "3", "--n", "2", "--samples", "2"],
+        ["verify", "equivalence", "--m", "2", "--q", "3", "--n", "2", "--samples", "5"],
+        ["verify", "qpower", "--m", "2", "--q", "2", "--n", "8", "--samples", "1"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert "too few" in captured.err, argv
+
+
+def test_verify_normalization_csv_names_both_checks(capsys):
+    code, out = _run(
+        capsys,
+        ["verify", "normalization", "--mp", "3", "--p", "2", "--np", "4", "--format", "csv"],
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["check"] for r in rows] == ["density_normalization", "cdf_against_density", "overall"]
+    assert rows[1]["kind"] == "quadrature" and float(rows[1]["reference"]) == 0.5
+
+
 def test_verify_deterministic_output(capsys):
     args = [
         "verify", "marginal", "--m", "2", "--q", "3", "--n", "2",

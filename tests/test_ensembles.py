@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsvdist import RngStream, sample_ginibre, sample_haar_unitary
-from gsvdist.errors import DimensionError
+from gsvdist.errors import DimensionError, ParameterError
 
 
 def test_ginibre_shape_and_finite():
@@ -111,10 +111,12 @@ def test_substream_independence_and_nesting():
     assert not np.allclose(a, b)
     # replayable
     np.testing.assert_array_equal(a, sample_ginibre(3, 3, root.substream(0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         s0.substream(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         root.substream(-1)
+    with pytest.raises(ParameterError):
+        RngStream(9, 1 << 31).substream(0)
 
 
 def test_substreams_disjoint_from_top_level():

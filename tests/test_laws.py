@@ -19,6 +19,7 @@ from scipy.integrate import quad
 from scipy.special import betaln
 
 from gsvdist import (
+    ReducedDims,
     joint_pdf,
     law_params,
     log_mvgamma,
@@ -548,3 +549,25 @@ def test_normalization_subset():
         params = law_params(*triple)
         integral = quadrature_integrate(lambda w: marginal_pdf(params, w), 1e-8)
         assert integral == pytest.approx(1.0, abs=1e-6)
+
+
+def test_law_triple_is_validated_by_reduced_dims_alone():
+    # law_params and log_norm_constant accept and refuse exactly the triples
+    # ReducedDims does, with the same exception type
+    def outcome(make, triple):
+        try:
+            make(*triple)
+        except Exception as exc:  # the type is what is compared
+            return type(exc)
+        return None
+
+    refused = 0
+    for triple in ((mp, p, npr) for mp in range(6) for p in range(6) for npr in range(6)):
+        want = outcome(ReducedDims, triple)
+        assert outcome(law_params, triple) is want, triple
+        assert outcome(log_norm_constant, triple) is want, triple
+        refused += want is not None
+        if want is None:
+            assert law_params(*triple).l == ReducedDims(*triple).l
+    # accepted: five values of p times the 15 pairs 1 <= m' <= n' <= 5
+    assert refused == 6**3 - 5 * 15

@@ -31,7 +31,7 @@ from gsvdist import (
     sample_w_gsvd,
     scalar_samples,
 )
-from gsvdist.engine import _stack_cosines, compute_structure
+from gsvdist.engine import _stack_cosines, _top_cosines, compute_structure
 from gsvdist.errors import (
     DegeneracyError,
     DimensionError,
@@ -213,6 +213,35 @@ def test_haar_upper_block_is_the_qr_then_cs_route(dims):
     alphas, ok, _ = _stack_cosines(z[:, :, : dims.n], dims.m, compute_structure(dims))
     assert batch.failures == np.count_nonzero(~ok) == 0
     np.testing.assert_allclose(batch.values, alphas**2, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 4, 5)])
+def test_haar_upper_block_is_the_engine_cosine_sine_step_bit_for_bit(dims):
+    # the upper-left route is the engine's one cosine-sine step, applied to
+    # the first n columns of the chunk's own Haar draws
+    dims = ProblemDims(*dims)
+    count, rng = 500, RngStream(8)
+    batch = sample_alpha_haar(dims, count, rng)
+    u = sample_haar_unitary(dims.m + dims.q, rng.substream(0).generator(), count=count)
+    alphas, ok = _top_cosines(u[:, :, : dims.n], dims.m, compute_structure(dims))
+    assert batch.failures == np.count_nonzero(~ok) == 0
+    np.testing.assert_array_equal(batch.values.view(np.uint64), (alphas**2).view(np.uint64))
+
+
+def test_s_zero_is_refused_with_one_message():
+    dims = ProblemDims(2, 3, 6)
+    a = sample_ginibre(2, 6, RngStream(1))
+    c = sample_ginibre(3, 6, RngStream(2))
+    messages = []
+    for call in (
+        lambda: gsvd_spectrum(a, c),
+        lambda: sample_w_gsvd(dims, 10, RngStream(0)),
+        lambda: run_experiment("marginal", dims=dims, samples=10),
+    ):
+        with pytest.raises(RegimeError) as info:
+            call()
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1 and "s = 0" in messages[0], messages
 
 
 def test_haar_block_routes_agree():
@@ -471,6 +500,26 @@ def test_normalization_experiment():
     assert report.checks[0][1]["value"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_normalization_cdf_check_fails_on_a_perturbed_cdf(monkeypatch):
+    # pdf * cdf integrates to 1/2 for the true law; a CDF off by
+    # 1e-6 u (1-u), u = w/(1+w), moves the integral by about 1.7e-7
+    import gsvdist.montecarlo as mc
+
+    reduced = ReducedDims(3, 2, 4)
+    check = run_experiment(Experiment.NORMALIZATION, reduced=reduced).checks[1]
+    assert check[0] == "cdf_against_density" and check[1]["target"] == 0.5
+    assert abs(check[1]["value"] - 0.5) <= 1e-14 and check[1]["passed"]
+
+    def perturbed(params, w):
+        u = np.asarray(w) / (1.0 + np.asarray(w))
+        return marginal_cdf(params, w) + 1e-6 * u * (1.0 - u)
+
+    monkeypatch.setattr(mc, "marginal_cdf", perturbed)
+    report = run_experiment(Experiment.NORMALIZATION, reduced=reduced)
+    assert report.checks[0][1]["passed"] and not report.checks[1][1]["passed"]
+    assert not report.passed
+
+
 def test_equivalence_rejects_deterministic():
     with pytest.raises(RegimeError):
         run_experiment(Experiment.EQUIVALENCE, dims=ProblemDims(2, 3, 6))
@@ -535,6 +584,38 @@ def test_experiments_reject_bad_alpha_before_any_draw(monkeypatch):
                 run_experiment(experiment, dims=ProblemDims(*dims), samples=200, alpha_level=alpha)
     assert calls == []
     assert issubclass(ParameterError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "experiment, dims, samples",
+    [("marginal", (2, 3, 2), 2), ("equivalence", (2, 3, 2), 5), ("qpower", (2, 2, 8), 1),
+     ("haar", (2, 3, 4), 0)],
+)
+def test_samples_too_few_to_reject_are_refused_before_any_draw(monkeypatch, experiment, dims, samples):
+    # at alpha = 0.01 the KS critical values are 1.151 (one-sample, n = 2)
+    # and 1.030 (two-sample, n = 5), above any KS statistic; a mean test
+    # needs two draws, and no check has a critical value at no draw
+    import gsvdist.montecarlo as mc
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    for name in ("sample_w_gsvd", "sample_w_fmatrix", "sample_alpha_haar", "sample_q_power"):
+        monkeypatch.setattr(mc, name, no_draw)
+    with pytest.raises(ParameterError, match="too few"):
+        run_experiment(experiment, dims=ProblemDims(*dims), samples=samples)
+
+
+def test_fewest_samples_that_can_reject_still_run():
+    # six draws bring the two-sample critical value below one
+    cases = {"equivalence": (2, 3, 2), "marginal": (2, 3, 2), "haar": (2, 3, 4), "qpower": (2, 2, 8)}
+    for experiment, dims in cases.items():
+        report = run_experiment(experiment, dims=ProblemDims(*dims), samples=6)
+        for _, check in report.checks:
+            assert check.get("critical_value", 0.0) < 1.0 and check.get("n1", 6) == 6
+    # the refusal follows the level: five draws can reject at alpha = 0.05
+    report = run_experiment("equivalence", dims=ProblemDims(2, 3, 2), samples=5, alpha_level=0.05)
+    assert report.checks[0][1]["critical_value"] < 1.0
 
 
 def test_report_determinism():
