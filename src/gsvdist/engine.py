@@ -35,7 +35,6 @@ from .errors import (
     DimensionError,
     RegimeError,
     SingularityError,
-    UndefinedExpectationError,
 )
 
 # classification thresholds: a cosine-type singular value counts as one
@@ -139,6 +138,14 @@ def _random_structure(dims: ProblemDims) -> GsvdStructure:
     if st.s == 0:
         raise RegimeError(f"dims {dims.as_tuple()} are deterministic (s = 0): no random spectrum")
     return st
+
+
+def _power_gap(dims: ProblemDims) -> int:
+    """``|m + q - n|``, refused with :class:`RegimeError` at the square stack."""
+    gap = abs(dims.m + dims.q - dims.n)
+    if gap == 0:
+        raise RegimeError(f"the right-factor power's mean is undefined at m + q = n (= {dims.n})")
+    return gap
 
 
 def reduced_dims(dims: ProblemDims) -> ReducedDims | None:
@@ -436,10 +443,7 @@ def q_power_trace(a, c) -> float:
     Cholesky kernel.
     """
     dims, b = _pair_stack(a, c)
-    if dims.m + dims.q == dims.n:
-        raise DimensionError(
-            "q_power_trace requires m + q != n (the square-stack boundary)"
-        )
+    _power_gap(dims)
     totals, ok = _stack_power(b[None])
     if not ok[0]:
         raise SingularityError(
@@ -450,9 +454,4 @@ def q_power_trace(a, c) -> float:
 
 def expected_q_power(dims: ProblemDims) -> float:
     """Closed-form mean of q_power_trace over standard Gaussian pairs."""
-    total = dims.m + dims.q
-    if total == dims.n:
-        raise UndefinedExpectationError(
-            f"expectation undefined at m + q = n (= {dims.n})"
-        )
-    return min(total, dims.n) / abs(total - dims.n)
+    return min(dims.m + dims.q, dims.n) / _power_gap(dims)

@@ -42,9 +42,5 @@ class QuadratureError(GsvdistError, ArithmeticError):
     """Adaptive integration did not reach the requested accuracy."""
 
 
-class UndefinedExpectationError(GsvdistError, ValueError):
-    """The closed-form expectation does not exist at these dimensions."""
-
-
 class RegimeError(GsvdistError, ValueError):
     """Operation invoked outside its dimension regime."""

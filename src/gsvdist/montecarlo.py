@@ -35,6 +35,7 @@ from .engine import (
     ReducedDims,
     Regime,
     _classify,
+    _power_gap,
     _random_structure,
     _stack_cosines,
     _stack_power,
@@ -86,7 +87,7 @@ class Experiment(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Seeded draws with provenance; ``values`` is (count, arity), a row per draw."""
+    """Seeded draws with provenance; ``values`` is (count >= 1, arity), a row per draw."""
 
     sampler_id: SamplerId
     dims: tuple[int, ...]
@@ -96,8 +97,8 @@ class SampleBatch:
     failures: int = 0
 
     def __post_init__(self):
-        if self.values.ndim != 2:
-            raise DimensionError(f"values must be 2-d, got shape {self.values.shape}")
+        if self.values.ndim != 2 or self.values.shape[0] < 1:
+            raise DimensionError(f"values must be (count >= 1, arity), got {self.values.shape}")
         if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0.0):
             raise DegeneracyError("batch values must be finite and positive")
         self.values.setflags(write=False)
@@ -148,7 +149,7 @@ def _run_batch(
     if count < 1:
         raise DimensionError(f"count must be >= 1, got {count}")
     if workers < 1:
-        raise DimensionError(f"workers must be >= 1, got {workers}")
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     jobs = list(enumerate(_chunk_sizes(count)))
 
     def run(job):
@@ -180,17 +181,21 @@ def _run_batch(
     )
 
 
+def _pair_draws(dims: ProblemDims, gen: np.random.Generator, want: int) -> np.ndarray:
+    """``want`` Gaussian pairs, ``a`` drawn before ``c``, as stacks ``[a; c]``."""
+    a = sample_ginibre(dims.m, dims.n, gen, count=want)
+    c = sample_ginibre(dims.q, dims.n, gen, count=want)
+    return np.concatenate([a, c], axis=1)
+
+
 def sample_w_gsvd(
     dims: ProblemDims, count: int, rng: RngStream, workers: int = 1
 ) -> SampleBatch:
     """Spectrum draws from fresh Gaussian pairs via the QR-then-CS kernel."""
     st = _random_structure(dims)
-    m, q, n = dims.m, dims.q, dims.n
 
     def draw(gen, want):
-        a = sample_ginibre(m, n, gen, count=want)
-        c = sample_ginibre(q, n, gen, count=want)
-        alphas, ok, _ = _stack_cosines(np.concatenate([a, c], axis=1), m, st)
+        alphas, ok, _ = _stack_cosines(_pair_draws(dims, gen, want), dims.m, st)
         alphas = alphas[ok]
         return alphas**2 / (1.0 - alphas**2), int(np.count_nonzero(~ok))
 
@@ -271,14 +276,10 @@ def sample_q_power(
     dims: ProblemDims, count: int, rng: RngStream, workers: int = 1
 ) -> SampleBatch:
     """Draws of the right-factor power (sum of reciprocal stack eigenvalues)."""
-    m, q, n = dims.m, dims.q, dims.n
-    if m + q == n:
-        raise RegimeError("power sampling requires m + q != n")
+    _power_gap(dims)
 
     def draw(gen, want):
-        a = sample_ginibre(m, n, gen, count=want)
-        c = sample_ginibre(q, n, gen, count=want)
-        totals, ok = _stack_power(np.concatenate([a, c], axis=1))
+        totals, ok = _stack_power(_pair_draws(dims, gen, want))
         return totals[ok][:, None], int(np.count_nonzero(~ok))
 
     return _run_batch(SamplerId.Q_POWER, dims.as_tuple(), draw, count, rng, workers)
@@ -352,6 +353,12 @@ def _ks_critical_value(alpha_level: float, n1: int, n2: int = 0) -> float:
     return c * sqrt((n1 + n2) / (n1 * n2)) if n2 else c / sqrt(n1)
 
 
+def _ks_report(statistic: float, alpha_level: float, n1: int, n2: int = 0) -> KsReport:
+    """The verdict ``statistic < critical value``; n2 = 0 is one-sample."""
+    crit = _ks_critical_value(alpha_level, n1, n2)
+    return KsReport(statistic, crit, n1, n2, alpha_level, passed=statistic < crit)
+
+
 def ks_two_sample(
     a: SampleBatch, b: SampleBatch, alpha_level: float = 0.01
 ) -> KsReport:
@@ -359,21 +366,10 @@ def ks_two_sample(
     x = np.sort(scalar_samples(a))
     y = np.sort(scalar_samples(b))
     n1, n2 = x.size, y.size
-    if n1 == 0 or n2 == 0:
-        raise DimensionError("empty batch in KS test")
     grid = np.concatenate([x, y])
     cdf_x = np.searchsorted(x, grid, side="right") / n1
     cdf_y = np.searchsorted(y, grid, side="right") / n2
-    stat = float(np.max(np.abs(cdf_x - cdf_y)))
-    crit = _ks_critical_value(alpha_level, n1, n2)
-    return KsReport(
-        statistic=stat,
-        critical_value=crit,
-        n1=n1,
-        n2=n2,
-        alpha_level=alpha_level,
-        passed=stat < crit,
-    )
+    return _ks_report(float(np.max(np.abs(cdf_x - cdf_y))), alpha_level, n1, n2)
 
 
 def ks_one_sample(
@@ -382,21 +378,10 @@ def ks_one_sample(
     """One-sample KS test against the closed-form marginal CDF."""
     x = np.sort(scalar_samples(batch))
     n = x.size
-    if n == 0:
-        raise DimensionError("empty batch in KS test")
     cdf = marginal_cdf(params, x)
     upper = np.max(np.arange(1, n + 1) / n - cdf)
     lower = np.max(cdf - np.arange(0, n) / n)
-    stat = float(max(upper, lower))
-    crit = _ks_critical_value(alpha_level, n)
-    return KsReport(
-        statistic=stat,
-        critical_value=crit,
-        n1=n,
-        n2=0,
-        alpha_level=alpha_level,
-        passed=stat < crit,
-    )
+    return _ks_report(float(max(upper, lower)), alpha_level, n)
 
 
 def mean_report(values: np.ndarray, target: float) -> MeanReport:
@@ -511,7 +496,6 @@ _SAMPLING = {
 
 
 def _sampling_checks(experiment, dims, samples, seed, workers, alpha_level):
-    _check_alpha(alpha_level)
     if dims is None:
         raise RegimeError(f"{experiment.value} experiment needs pair dimensions")
     spec = _SAMPLING[experiment]
@@ -520,12 +504,10 @@ def _sampling_checks(experiment, dims, samples, seed, workers, alpha_level):
     if spec.reads_reduced:
         _random_structure(dims)
         record.update(asdict(rd))
-    gap = abs(dims.m + dims.q - dims.n)
-    if spec.mean_gap and gap < MEAN_TEST_MIN_GAP:
+    if spec.mean_gap and (gap := _power_gap(dims)) < MEAN_TEST_MIN_GAP:
         raise RegimeError(
-            f"mean test needs |m + q - n| >= {MEAN_TEST_MIN_GAP}, got {gap}: the "
-            "closed-form mean is undefined at m + q = n, and near that boundary "
-            "the sampling variance makes a 3-sigma acceptance meaningless"
+            f"mean test needs |m + q - n| >= {MEAN_TEST_MIN_GAP}, got {gap}: near "
+            "m + q = n the sampling variance makes a 3-sigma acceptance meaningless"
         )
     for name, test, _ in spec.checks:
         if samples < 1 or _POWERLESS[test](samples, alpha_level):
@@ -574,15 +556,18 @@ def run_experiment(
 
     ``normalization`` needs the reduced triple; the others need the pair
     dimensions ``dims`` and draw each batch they test once, batch ``(source,
-    i)`` from ``RngStream(seed, i)``.  A missing input, ``s = 0`` where the
-    reduced triple is read, or a mean test closer than ``MEAN_TEST_MIN_GAP``
-    to ``m + q = n`` raises :class:`RegimeError` before any draw, and an
-    ``alpha_level`` outside (0, 1), or ``samples`` so few that some check
-    could not reject, raises :class:`ParameterError` there.
+    i)`` from ``RngStream(seed, i)``.  Every experiment, ``normalization``
+    included, refuses an ``alpha_level`` outside (0, 1) with
+    :class:`ParameterError` before any work.  A missing input, ``s = 0``
+    where the reduced triple is read, or a mean test closer than
+    ``MEAN_TEST_MIN_GAP`` to ``m + q = n`` raises :class:`RegimeError`
+    before any draw, and ``samples`` so few that some check could not
+    reject raises :class:`ParameterError` there.
     The report is a pure function of the seed; ``workers`` sets threads
     only, and appears in the report's attributes but not in ``to_dict``.
     """
     experiment = Experiment(experiment)
+    _check_alpha(alpha_level)
     start = time.perf_counter()
     if experiment.takes_reduced:
         dims_record, checks = _normalization_checks(reduced)

@@ -190,14 +190,30 @@ def test_verify_regime_mismatch_exit_code(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("experiment, dims", [("marginal", "232"), ("qpower", "228")])
+@pytest.mark.parametrize(
+    "experiment, dims", [("marginal", "232"), ("qpower", "228"), ("normalization", "324")]
+)
 def test_verify_bad_alpha_exit_code(capsys, experiment, dims):
-    m, q, n = dims
-    code = main(["verify", experiment, "--m", m, "--q", q, "--n", n, "--alpha", "1.5"])
+    flags = ("--mp", "--p", "--np") if experiment == "normalization" else ("--m", "--q", "--n")
+    dim_args = [arg for flag, d in zip(flags, dims) for arg in (flag, d)]
+    code = main(["verify", experiment, *dim_args, "--alpha", "1.5"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "alpha must be in (0, 1), got 1.5" in captured.err
+
+
+def test_verify_workers_below_one_exit_code(capsys, monkeypatch):
+    import gsvdist.montecarlo as mc
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(mc, "sample_ginibre", no_draw)
+    code = main(["verify", "marginal", "--m", "2", "--q", "3", "--n", "2", "--workers", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "workers must be >= 1, got 0" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -13,12 +13,14 @@ from gsvdist import (
     SampleBatch,
     SamplerId,
     alpha_sq_to_w,
+    expected_q_power,
     gsvd_spectrum,
     ks_one_sample,
     ks_two_sample,
     law_params,
     marginal_cdf,
     mean_report,
+    q_power_trace,
     quadrature_integrate,
     marginal_pdf,
     reduced_dims,
@@ -295,6 +297,42 @@ def test_q_power_batch_positive():
 def test_q_power_regime():
     with pytest.raises(RegimeError):
         sample_q_power(ProblemDims(2, 2, 4), 10, RngStream(0))
+
+
+def test_square_stack_is_refused_with_one_message(monkeypatch):
+    import gsvdist.montecarlo as mc
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    dims = ProblemDims(2, 2, 4)
+    a = sample_ginibre(2, 4, RngStream(1))
+    c = sample_ginibre(2, 4, RngStream(2))
+    monkeypatch.setattr(mc, "sample_ginibre", no_draw)
+    messages = []
+    for call in (
+        lambda: expected_q_power(dims),
+        lambda: q_power_trace(a, c),
+        lambda: sample_q_power(dims, 10, RngStream(0)),
+        lambda: run_experiment("qpower", dims=dims, samples=10),
+    ):
+        with pytest.raises(RegimeError) as info:
+            call()
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1 and "undefined" in messages[0], messages
+
+
+def test_q_power_batch_matches_per_draw_reduction():
+    # replay the vectorized chunk's own draw order and reduce one pair at
+    # a time through the single-pair power
+    dims = ProblemDims(2, 2, 8)
+    count = 16
+    batch = sample_q_power(dims, count, RngStream(77))
+    gen = RngStream(77).substream(0).generator()
+    a = sample_ginibre(dims.m, dims.n, gen, count=count)
+    c = sample_ginibre(dims.q, dims.n, gen, count=count)
+    for i in range(count):
+        assert batch.values[i, 0] == pytest.approx(q_power_trace(a[i], c[i]), rel=1e-10)
 
 
 def test_gsvd_moment_matches_quadrature():
@@ -657,10 +695,13 @@ def test_report_records_inputs():
 def test_batch_validation():
     with pytest.raises(DimensionError):
         sample_w_gsvd(ProblemDims(2, 3, 2), 0, RngStream(0))
+    with pytest.raises(ParameterError, match="workers"):
+        sample_w_gsvd(ProblemDims(2, 3, 2), 10, RngStream(0), workers=0)
     with pytest.raises(DegeneracyError):
         _synthetic_batch([1.0, -2.0])
-    with pytest.raises(DimensionError):
-        SampleBatch(SamplerId.Q_POWER, (1, 1, 1), 0, 0, np.ones(3))
+    for values in (np.ones(3), np.ones((0, 3))):
+        with pytest.raises(DimensionError):
+            SampleBatch(SamplerId.Q_POWER, (1, 1, 1), 0, 0, values)
     batch = _synthetic_batch(np.ones((4, 3)))
     with pytest.raises(AttributeError):
         batch.count = 5
