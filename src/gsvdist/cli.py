@@ -7,7 +7,9 @@ statistical experiments).  Output is CSV (single header row) or JSON (a
 ``meta`` are the only nondeterministic fields).
 
 Exit codes: 0 success / statistical pass, 1 statistical fail, 2 usage or
-regime error, or an output file that cannot be written.
+regime error, or an output file that cannot be written, 141 (128 + SIGPIPE,
+as a shell reports a command that a closed pipe ends) when the reader of
+stdout closes it early, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -344,10 +346,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except GsvdistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the exit flush
+        # cannot fail again, and stop without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

@@ -148,8 +148,7 @@ def _run_batch(
 ) -> SampleBatch:
     if count < 1:
         raise DimensionError(f"count must be >= 1, got {count}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     jobs = list(enumerate(_chunk_sizes(count)))
 
     def run(job):
@@ -339,6 +338,11 @@ def _check_alpha(alpha_level: float) -> None:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha_level}")
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+
+
 def ks_critical_constant(alpha_level: float) -> float:
     """c(alpha) with the two standard levels pinned to their textbook values."""
     if alpha_level in KS_CRITICAL_CONSTANTS:
@@ -510,7 +514,7 @@ def _sampling_checks(experiment, dims, samples, seed, workers, alpha_level):
             "m + q = n the sampling variance makes a 3-sigma acceptance meaningless"
         )
     for name, test, _ in spec.checks:
-        if samples < 1 or _POWERLESS[test](samples, alpha_level):
+        if _POWERLESS[test](samples, alpha_level):
             raise ParameterError(f"samples = {samples} is too few: {name} could not reject")
 
     batches = {
@@ -557,17 +561,20 @@ def run_experiment(
     ``normalization`` needs the reduced triple; the others need the pair
     dimensions ``dims`` and draw each batch they test once, batch ``(source,
     i)`` from ``RngStream(seed, i)``.  Every experiment, ``normalization``
-    included, refuses an ``alpha_level`` outside (0, 1) with
-    :class:`ParameterError` before any work.  A missing input, ``s = 0``
-    where the reduced triple is read, or a mean test closer than
-    ``MEAN_TEST_MIN_GAP`` to ``m + q = n`` raises :class:`RegimeError`
-    before any draw, and ``samples`` so few that some check could not
-    reject raises :class:`ParameterError` there.
+    included, refuses an ``alpha_level`` outside (0, 1), ``samples`` below
+    one and ``workers`` below one with :class:`ParameterError` before any
+    work.  A missing input, ``s = 0`` where the reduced triple is read, or
+    a mean test closer than ``MEAN_TEST_MIN_GAP`` to ``m + q = n`` raises
+    :class:`RegimeError` before any draw, and ``samples`` so few that some
+    check could not reject raises :class:`ParameterError` there.
     The report is a pure function of the seed; ``workers`` sets threads
     only, and appears in the report's attributes but not in ``to_dict``.
     """
     experiment = Experiment(experiment)
     _check_alpha(alpha_level)
+    if samples < 1:
+        raise ParameterError(f"samples = {samples} is too few: no check could reject")
+    _check_workers(workers)
     start = time.perf_counter()
     if experiment.takes_reduced:
         dims_record, checks = _normalization_checks(reduced)

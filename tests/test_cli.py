@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,37 @@ def test_verify_workers_below_one_exit_code(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "workers must be >= 1, got 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--workers", "0", "--samples", "-5"], "samples = -5 is too few"),
+     (["--workers", "0"], "workers must be >= 1, got 0")],
+)
+def test_verify_normalization_refuses_samples_and_workers(capsys, flags, message):
+    code = main(["verify", "normalization", "--mp", "3", "--p", "2", "--np", "4", *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
+def test_closed_stdout_ends_without_traceback():
+    # the reader closes its end before the CLI writes, as `| head` does
+    # once it has its lines: exit 141 (128 + SIGPIPE) and no traceback
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gsvdist.cli", "verify", "normalization",
+         "--mp", "3", "--p", "2", "--np", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 @pytest.mark.parametrize(

@@ -342,6 +342,44 @@ def test_marginal_pdf_rejects_bad_points():
         marginal_pdf(params, np.array([]))
 
 
+@pytest.mark.parametrize("density", [marginal_pdf, marginal_pdf_reciprocal])
+def test_scalar_density_matches_array_bit_for_bit(density):
+    # the scalar path skips the array checks but takes the same IEEE steps;
+    # the benchmark's 198 triples on a 97-point grid
+    grid = np.geomspace(1e-3, 1e3, 97)
+    for m_prime in range(1, 7):
+        for p in range(1, 7):
+            for n_prime in range(m_prime, 9):
+                params = law_params(m_prime, p, n_prime)
+                values = density(params, grid)
+                scalars = [density(params, float(w)) for w in grid]
+                assert scalars == values.tolist(), (m_prime, p, n_prime)
+
+
+@pytest.mark.parametrize("density", [marginal_pdf, marginal_pdf_reciprocal])
+def test_scalar_density_point_types(density):
+    params = law_params(3, 4, 6)
+    expected = density(params, np.array([0.7, 2.0]))
+    for point, value in ((0.7, expected[0]), (2, expected[1])):
+        for form in (point, np.float64(point), np.array(point)):
+            result = density(params, form)
+            assert type(result) is float and result == value, form
+    listed = density(params, [0.7])
+    assert isinstance(listed, np.ndarray) and listed.shape == (1,) and listed[0] == expected[0]
+
+
+@pytest.mark.parametrize("density", [marginal_pdf, marginal_pdf_reciprocal])
+@pytest.mark.parametrize("point", [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_scalar_density_refuses_bad_points_as_the_array_path(density, point):
+    params = law_params(2, 2, 3)
+    with pytest.raises(DimensionError) as array_refusal:
+        density(params, np.array([point]))
+    for form in (point, np.float64(point), np.array(point)):
+        with pytest.raises(DimensionError) as scalar_refusal:
+            density(params, form)
+        assert str(scalar_refusal.value) == str(array_refusal.value)
+
+
 def test_marginal_cdf_rejects_bad_points():
     params = law_params(2, 2, 3)
     with pytest.raises(DimensionError, match="empty"):

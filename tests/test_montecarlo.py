@@ -644,6 +644,27 @@ def test_samples_too_few_to_reject_are_refused_before_any_draw(monkeypatch, expe
         run_experiment(experiment, dims=ProblemDims(*dims), samples=samples)
 
 
+@pytest.mark.parametrize(
+    "samples, workers, message",
+    [(-5, 1, "samples = -5 is too few"), (0, 1, "samples = 0 is too few"),
+     (200, 0, "workers must be >= 1, got 0")],
+)
+def test_normalization_refuses_samples_and_workers_before_any_work(
+    monkeypatch, samples, workers, message
+):
+    # the quadrature never reads them, but a report must not record them
+    import gsvdist.montecarlo as mc
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("integrated before refusing")
+
+    monkeypatch.setattr(mc, "quadrature_integrate", no_work)
+    with pytest.raises(ParameterError, match=message):
+        run_experiment(
+            "normalization", reduced=ReducedDims(3, 2, 4), samples=samples, workers=workers
+        )
+
+
 def test_fewest_samples_that_can_reject_still_run():
     # six draws bring the two-sample critical value below one
     cases = {"equivalence": (2, 3, 2), "marginal": (2, 3, 2), "haar": (2, 3, 4), "qpower": (2, 2, 8)}

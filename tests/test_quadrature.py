@@ -28,6 +28,22 @@ def test_marginal_density_normalizes():
     assert integral == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("triple", [(6, 6, 8), (8, 8, 9), (7, 9, 12)])
+def test_marginal_density_takes_one_kronrod_rule(triple):
+    # the compactified rule converges on its first 21-point Gauss-Kronrod
+    # panel; QUADPACK's half-line rule needs 105 calls at (8, 8, 9) and 225
+    # at (7, 9, 12)
+    params = law_params(*triple)
+    calls = []
+
+    def pdf(w):
+        calls.append(w)
+        return marginal_pdf(params, w)
+
+    assert quadrature_integrate(pdf, 1e-8) == pytest.approx(1.0, abs=1e-6)
+    assert len(calls) == 21
+
+
 def test_exponential_tail():
     assert quadrature_integrate(lambda w: np.exp(-w), 1e-10) == pytest.approx(
         1.0, abs=1e-8
