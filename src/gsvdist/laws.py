@@ -258,23 +258,18 @@ def _density(params: LawParams, w, a: int, b: int, u_of_w):
         log_weight = params.t1 * np.log(w) - shift * np.log1p(w)
         return _kernel(params.l, a, b, u_of_w(w), log_weight)
 
-    if isinstance(w, (int, float)) or getattr(w, "ndim", 1) == 0:
-        # a Python float takes the same IEEE steps as one array element, at
-        # scalar cost; the logs stay numpy's, as math's differ in the last bit
-        w = float(w)
-        if not 0.0 < w < math.inf:
-            _check_positive(np.asarray(w))  # raises the array path's refusal
-        return float(block(w))
     w = np.asarray(w, dtype=np.float64)
     _check_positive(w)
-    return _by_block(block, w)
+    out = _by_block(block, w)
+    return float(out) if w.ndim == 0 else out
 
 
 def marginal_pdf(params: LawParams, w):
     """Density of a single (uniformly chosen) eigenvalue at ``w``.
 
-    Accepts a scalar or an array of positive points.  A scalar point
-    returns a Python float, bit for bit the array path's element.  Under
+    Accepts a scalar or an array of positive points.  A scalar point goes
+    down the array path as a 0-d array and returns its value as a Python
+    float, bit for bit the element an array holding it gives.  Under
     ``u = w/(1+w)`` it is ``(1+w)^-2 (1/l) sum_{k<l} phi_k(u)^2`` with
     ``phi_k`` the orthonormal Jacobi functions of ``u^t1 (1-u)^(n'-m')``.
     """

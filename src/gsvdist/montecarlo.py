@@ -410,9 +410,9 @@ class VerificationReport:
 
     experiment: str
     dims: dict
-    seed: int
+    seed: int | None
     workers: int  # threads only: not part of to_dict()
-    samples: int
+    samples: int | None
     alpha_level: float | None
     checks: tuple[tuple[str, dict], ...]
     passed: bool
@@ -569,6 +569,8 @@ def run_experiment(
     check could not reject raises :class:`ParameterError` there.
     The report is a pure function of the seed; ``workers`` sets threads
     only, and appears in the report's attributes but not in ``to_dict``.
+    ``normalization`` reads neither ``seed``, ``samples`` nor
+    ``alpha_level``, and records each as ``None``.
     """
     experiment = Experiment(experiment)
     _check_alpha(alpha_level)
@@ -585,9 +587,9 @@ def run_experiment(
     return VerificationReport(
         experiment=experiment.value,
         dims=dims_record,
-        seed=seed,
+        seed=None if experiment.takes_reduced else seed,
         workers=workers,
-        samples=samples,
+        samples=None if experiment.takes_reduced else samples,
         alpha_level=None if experiment.takes_reduced else alpha_level,
         checks=tuple(checks),
         passed=all(report["passed"] for _, report in checks),

@@ -295,6 +295,19 @@ def test_verify_normalization(capsys):
     assert checks[0]["value"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_verify_normalization_records_no_unread_input(capsys):
+    # the quadrature reads no seed, sample count or level: flags that set
+    # them change nothing in data, which records each as null
+    argv = ["verify", "normalization", "--mp", "3", "--p", "2", "--np", "4"]
+    datas = []
+    for extra in ([], ["--samples", "7", "--seed", "9"]):
+        code, out = _run(capsys, [*argv, *extra])
+        assert code == 0
+        datas.append(json.loads(out)["data"])
+    assert datas[0] == datas[1]
+    assert [datas[0][key] for key in ("seed", "samples", "alpha_level")] == [None] * 3
+
+
 def test_verify_normalization_order_eight(capsys):
     code, out = _run(
         capsys, ["verify", "normalization", "--mp", "8", "--p", "8", "--np", "9"]

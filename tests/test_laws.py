@@ -344,8 +344,8 @@ def test_marginal_pdf_rejects_bad_points():
 
 @pytest.mark.parametrize("density", [marginal_pdf, marginal_pdf_reciprocal])
 def test_scalar_density_matches_array_bit_for_bit(density):
-    # the scalar path skips the array checks but takes the same IEEE steps;
-    # the benchmark's 198 triples on a 97-point grid
+    # a scalar point is a 0-d array on the same path, so it takes the same
+    # IEEE steps; the benchmark's 198 triples on a 97-point grid
     grid = np.geomspace(1e-3, 1e3, 97)
     for m_prime in range(1, 7):
         for p in range(1, 7):
@@ -575,8 +575,9 @@ def test_joint_marginal_consistency_l2():
     for triple in [(2, 2, 2), (2, 2, 3)]:
         params = law_params(*triple)
         for w1 in np.geomspace(0.1, 5.0, 10):
+            # joint_pdf takes one eigenvalue tuple; the rule passes node arrays
             integral = quadrature_integrate(
-                lambda w2: joint_pdf(params, [w1, w2]), 1e-9
+                lambda w2: np.array([joint_pdf(params, [w1, x]) for x in w2]), 1e-9
             )
             assert integral == pytest.approx(marginal_pdf(params, w1), abs=1e-6)
 

@@ -1,12 +1,15 @@
 """Half-line quadrature oracle anchors."""
 
 import ast
+import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from gsvdist import law_params, marginal_pdf, quadrature_integrate
+from gsvdist import law_params, marginal_cdf, marginal_pdf, quadrature_integrate
 from gsvdist.errors import ParameterError, QuadratureError
 
 
@@ -29,10 +32,10 @@ def test_marginal_density_normalizes():
 
 
 @pytest.mark.parametrize("triple", [(6, 6, 8), (8, 8, 9), (7, 9, 12)])
-def test_marginal_density_takes_one_kronrod_rule(triple):
-    # the compactified rule converges on its first 21-point Gauss-Kronrod
-    # panel; QUADPACK's half-line rule needs 105 calls at (8, 8, 9) and 225
-    # at (7, 9, 12)
+def test_marginal_density_takes_one_gauss_panel(triple):
+    # in u the density is u^a (1-u)^b times a polynomial of degree 2l - 2,
+    # of degree at most 19 here, so the 20- and 40-point rules on (0, 1)
+    # are both exact and the first panel converges: two array calls
     params = law_params(*triple)
     calls = []
 
@@ -41,7 +44,40 @@ def test_marginal_density_takes_one_kronrod_rule(triple):
         return marginal_pdf(params, w)
 
     assert quadrature_integrate(pdf, 1e-8) == pytest.approx(1.0, abs=1e-6)
-    assert len(calls) == 21
+    assert [type(w) for w in calls] == [np.ndarray, np.ndarray]
+    assert [w.shape for w in calls] == [(20,), (40,)]
+
+
+def test_sweep_matches_scipy_and_mpmath_quadrature():
+    # E[u] under each benchmark triple's law, u = w/(1+w), is no known
+    # constant; QUADPACK and mpmath's tanh-sinh rule give it independently
+    sweep = [(mp, p, n) for mp in range(1, 7) for p in range(1, 7) for n in range(mp, 9)]
+    for triple in sweep:
+        params = law_params(*triple)
+
+        def moment(w):
+            return w / (1.0 + w) * marginal_pdf(params, w)
+
+        value = quadrature_integrate(moment, 1e-8)
+        quadpack, _ = quad(
+            lambda u: moment(u / (1.0 - u)) / (1.0 - u) ** 2, 0.0, 1.0,
+            epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+        tanh_sinh = float(mpmath.quad(lambda w: moment(float(w)), [0, 1, mpmath.inf]))
+        assert value == pytest.approx(quadpack, rel=1e-8), triple
+        assert value == pytest.approx(tanh_sinh, rel=1e-8), triple
+        density = quadrature_integrate(lambda w: marginal_pdf(params, w), 1e-8)
+        assert density == pytest.approx(1.0, abs=1e-6), triple
+
+
+@pytest.mark.parametrize("triple", [(8, 8, 9), (7, 9, 12), (25, 25, 30)])
+def test_density_against_cdf_integrates_to_one_half(triple):
+    # pdf * cdf is d(F^2 / 2)/dw: the normalization experiment's second check
+    params = law_params(*triple)
+    value = quadrature_integrate(
+        lambda w: marginal_pdf(params, w) * marginal_cdf(params, w), 1e-8
+    )
+    assert value == pytest.approx(0.5, abs=1e-8)
 
 
 def test_exponential_tail():
@@ -51,8 +87,42 @@ def test_exponential_tail():
 
 
 def test_divergent_integrand_raises():
-    with pytest.raises(QuadratureError):
-        quadrature_integrate(lambda w: 1.0 / w, 1e-8)
+    # divergent at zero: the panel at u = 0 never converges
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="did not converge"):
+            quadrature_integrate(lambda w: 1.0 / w, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "integrand, message",
+    [
+        # divergent at infinity: panels shrink towards u = 1 until refused,
+        # before any node rounds onto it
+        (np.ones_like, "too narrow"),
+        (lambda w: np.where(w > 1.0, np.nan, np.exp(-w)), "non-finite"),
+    ],
+    ids=["divergent_at_infinity", "nan_at_some_nodes"],
+)
+def test_refusals_raise_quadrature_error_without_warning(integrand, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=message):
+            quadrature_integrate(integrand, 1e-8)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_endpoint_singularities_are_refused_or_met(rel_tol):
+    # 1/(sqrt(w) (1+w)) is 1/sqrt(u (1-u)) in u, integrable but singular at
+    # both ends, where |G40 - G20| is about G40's own error; the rule must
+    # not return a value outside rel_tol of the exact pi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = quadrature_integrate(lambda w: 1.0 / np.sqrt(w) / (1.0 + w), rel_tol)
+        except QuadratureError:
+            return
+    assert value == pytest.approx(np.pi, rel=rel_tol)
 
 
 def test_bad_tolerance_rejected():
