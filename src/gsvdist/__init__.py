@@ -28,7 +28,6 @@ from .laws import (
     LawParams,
     joint_pdf,
     law_params,
-    log_mvgamma,
     log_norm_constant,
     marginal_cdf,
     marginal_pdf,
@@ -80,7 +79,6 @@ __all__ = [
     "ks_one_sample",
     "ks_two_sample",
     "law_params",
-    "log_mvgamma",
     "log_norm_constant",
     "marginal_cdf",
     "marginal_pdf",

@@ -30,10 +30,6 @@ class ParameterError(GsvdistError, ValueError):
     """A scalar setting, such as a test level, lies outside its valid range."""
 
 
-class PoleError(GsvdistError, ValueError):
-    """Special-function argument at or beyond a pole."""
-
-
 class ConsistencyError(GsvdistError, ArithmeticError):
     """An internal cross-check failed beyond cancellation tolerance."""
 

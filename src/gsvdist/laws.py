@@ -7,7 +7,7 @@ For independent standard complex Gaussian ``x`` (m' x p) and ``y``
     f(w_1..w_l) = M * prod w_i^t1 / prod (1+w_i)^t2 * prod_{i<j} (w_i-w_j)^2
 
 with ``l = min(p, m')``, ``t1 = |m' - p|``, ``t2 = p + n'``, and a
-normalization constant M built from complex multivariate gamma functions.
+normalization constant M that is one Selberg product of Gamma functions.
 
 This is a beta = 2 ensemble with weight ``omega(w) = w^t1 (1+w)^-t2``.
 Under ``u = w/(1+w)`` the weight, the Vandermonde and the Jacobian become
@@ -93,41 +93,25 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import ReducedDims
-from .errors import ConsistencyError, DimensionError, PoleError
+from .errors import ConsistencyError, DimensionError
 
-LOG_PI = math.log(math.pi)
 # values per run of a large evaluation (see _by_block)
 _BLOCK = 32768
-
-
-def log_mvgamma(dim: int, a: float) -> float:
-    """Log of the complex multivariate gamma function.
-
-    ``pi^(dim(dim-1)/2) * prod_{i=1}^{dim} Gamma(a - i + 1)``, evaluated
-    entirely in log domain.  Requires ``a > dim - 1`` (pole otherwise).
-    """
-    if dim < 1:
-        raise DimensionError(f"dimension must be >= 1, got {dim}")
-    if a <= dim - 1:
-        raise PoleError(f"log_mvgamma({dim}, {a}): need a > {dim - 1}")
-    return 0.5 * dim * (dim - 1) * LOG_PI + sum(
-        math.lgamma(a - i) for i in range(dim)
-    )
 
 
 def log_norm_constant(m_prime: int, p: int, n_prime: int) -> float:
     """Log normalization constant M of the joint eigenvalue density.
 
-    Two branches depending on the sign of ``p - m'``; the exponent of pi is
-    ``d(d-1)`` (not halved) with ``d`` the smaller of the two, exactly as
-    the density requires.
+    ``1/M`` is Selberg's integral of the Jacobi ensemble ``u^a (1-u)^b``,
+    ``a = |m' - p|``, ``b = n' - m'`` (Mehta, *Random Matrices*, ch. 17):
+    one Gamma product for either sign of ``p - m'``, every argument >= 1.
     """
-    d = ReducedDims(m_prime, p, n_prime).l
-    others = (p, n_prime, d) if p >= m_prime else (m_prime, p + n_prime - m_prime, d)
-    value = d * (d - 1) * LOG_PI + log_mvgamma(d, p + n_prime) - math.lgamma(d + 1)
-    for arg in others:
-        value -= log_mvgamma(d, arg)
-    return value
+    l = ReducedDims(m_prime, p, n_prime).l
+    a, b = abs(m_prime - p), n_prime - m_prime
+    return sum(
+        math.lgamma(a + b + 2 * l - i) - math.lgamma(a + l - i) - math.lgamma(b + l - i)
+        - math.lgamma(l - i) for i in range(l)
+    ) - math.lgamma(l + 1)
 
 
 @dataclass(frozen=True)
@@ -137,7 +121,7 @@ class LawParams:
     Derived fields: ``l = min(p, m')``, ``t1 = |m' - p|``, ``t2 = p + n'``,
     ``t1_reciprocal = n' - m'``, and the log normalization constant.  The
     identity ``t2 - t1 - 2l + 1 = n' - m' + 1 >= 1`` guarantees every Beta
-    argument in the marginal is at least one.
+    argument in the marginal, and every Gamma argument of M, is at least one.
     """
 
     m_prime: int

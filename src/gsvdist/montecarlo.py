@@ -122,18 +122,16 @@ def _over_budget(failures: int, drawn: int) -> bool:
 
 
 def _fill_chunk(draw_fn, gen: np.random.Generator, quota: int):
-    """Draw until the quota is met, discarding and counting bad rows."""
-    rows = []
-    filled = 0
-    failures = 0
+    """Draw ``(values, ok)`` rows until the quota is met, dropping and counting rows not ok."""
+    rows, filled, failures = [], 0, 0
     while filled < quota:
-        good, bad = draw_fn(gen, quota - filled)
-        failures += bad
+        values, ok = draw_fn(gen, quota - filled)
+        failures += int(np.count_nonzero(~ok))
         if _over_budget(failures, quota + failures):
             raise DegeneracyError(
                 f"chunk aborted: {failures} degenerate draws against quota {quota}"
             )
-        rows.append(good[: quota - filled])
+        rows.append(values[ok][: quota - filled])
         filled += rows[-1].shape[0]
     return np.concatenate(rows), failures
 
@@ -195,10 +193,11 @@ def sample_w_gsvd(
 
     def draw(gen, want):
         alphas, ok, _ = _stack_cosines(_pair_draws(dims, gen, want), dims.m, st)
-        alphas = alphas[ok]
-        return alphas**2 / (1.0 - alphas**2), int(np.count_nonzero(~ok))
+        return alphas**2, ok
 
-    return _run_batch(SamplerId.GSVD, dims.as_tuple(), draw, count, rng, workers)
+    # alpha^2 -> w on kept draws only: a rejected one may hold alpha = 1
+    batch = _run_batch(SamplerId.GSVD, dims.as_tuple(), draw, count, rng, workers)
+    return alpha_sq_to_w(batch)
 
 
 def sample_w_fmatrix(
@@ -217,8 +216,7 @@ def sample_w_fmatrix(
     def draw(gen, want):
         x = sample_ginibre(mp, p, gen, count=want)
         y = sample_ginibre(mp, npr, gen, count=want)
-        w, ok = _stack_ratio(x, y, rdims.l)
-        return w[ok], int(np.count_nonzero(~ok))
+        return _stack_ratio(x, y, rdims.l)
 
     return _run_batch(SamplerId.F_MATRIX, rdims.as_tuple(), draw, count, rng, workers)
 
@@ -261,12 +259,12 @@ def sample_alpha_haar(
         u = sample_haar_unitary(dim, gen, count=want)
         if block == "upper_left":
             alphas, ok = _top_cosines(u[:, :, :n], m, st)
-            return alphas[ok] ** 2, int(np.count_nonzero(~ok))
+            return alphas**2, ok
         blk = u[:, m:, n:]
         evals = np.linalg.eigvalsh(blk.conj().transpose(0, 2, 1) @ blk)[:, ::-1]
         # the block has no unit singular values: classify as if r = 0
         _, ok = _classify(np.sqrt(np.maximum(evals, 0.0)), replace(st, r=0))
-        return evals[ok], int(np.count_nonzero(~ok))
+        return evals, ok
 
     return _run_batch(SamplerId.HAAR_BLOCK, dims.as_tuple(), draw, count, rng, workers)
 
@@ -279,7 +277,7 @@ def sample_q_power(
 
     def draw(gen, want):
         totals, ok = _stack_power(_pair_draws(dims, gen, want))
-        return totals[ok][:, None], int(np.count_nonzero(~ok))
+        return totals[:, None], ok
 
     return _run_batch(SamplerId.Q_POWER, dims.as_tuple(), draw, count, rng, workers)
 
@@ -569,8 +567,8 @@ def run_experiment(
     check could not reject raises :class:`ParameterError` there.
     The report is a pure function of the seed; ``workers`` sets threads
     only, and appears in the report's attributes but not in ``to_dict``.
-    ``normalization`` reads neither ``seed``, ``samples`` nor
-    ``alpha_level``, and records each as ``None``.
+    ``normalization`` reads no ``seed``, ``samples`` or ``alpha_level``:
+    it records each as ``None`` and carries no calibration note.
     """
     experiment = Experiment(experiment)
     _check_alpha(alpha_level)
@@ -580,19 +578,22 @@ def run_experiment(
     start = time.perf_counter()
     if experiment.takes_reduced:
         dims_record, checks = _normalization_checks(reduced)
+        seed = samples = alpha_level = None
+        notes = ()
     else:
         dims_record, checks = _sampling_checks(
             experiment, dims, samples, seed, workers, alpha_level
         )
+        notes = (_CALIBRATION_NOTE,)
     return VerificationReport(
         experiment=experiment.value,
         dims=dims_record,
-        seed=None if experiment.takes_reduced else seed,
+        seed=seed,
         workers=workers,
-        samples=None if experiment.takes_reduced else samples,
-        alpha_level=None if experiment.takes_reduced else alpha_level,
+        samples=samples,
+        alpha_level=alpha_level,
         checks=tuple(checks),
         passed=all(report["passed"] for _, report in checks),
         elapsed_seconds=time.perf_counter() - start,
-        notes=(_CALIBRATION_NOTE,),
+        notes=notes,
     )

@@ -297,7 +297,8 @@ def test_verify_normalization(capsys):
 
 def test_verify_normalization_records_no_unread_input(capsys):
     # the quadrature reads no seed, sample count or level: flags that set
-    # them change nothing in data, which records each as null
+    # them change nothing in data, which records each as null, and no
+    # calibration note describes them
     argv = ["verify", "normalization", "--mp", "3", "--p", "2", "--np", "4"]
     datas = []
     for extra in ([], ["--samples", "7", "--seed", "9"]):
@@ -306,6 +307,7 @@ def test_verify_normalization_records_no_unread_input(capsys):
         datas.append(json.loads(out)["data"])
     assert datas[0] == datas[1]
     assert [datas[0][key] for key in ("seed", "samples", "alpha_level")] == [None] * 3
+    assert datas[0]["notes"] == []
 
 
 def test_verify_normalization_order_eight(capsys):

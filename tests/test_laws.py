@@ -22,14 +22,13 @@ from gsvdist import (
     ReducedDims,
     joint_pdf,
     law_params,
-    log_mvgamma,
     log_norm_constant,
     marginal_cdf,
     marginal_pdf,
     marginal_pdf_reciprocal,
     quadrature_integrate,
 )
-from gsvdist.errors import ConsistencyError, DimensionError, PoleError
+from gsvdist.errors import ConsistencyError, DimensionError
 
 
 def _beta_exact(a: int, b: int) -> Fraction:
@@ -89,20 +88,59 @@ def _kernel_exact(l: int, t1: int, t2: int) -> list[Fraction]:
     ]
 
 
-# --------------------------------------------------------------- mvgamma / M
+# ------------------------------------------------------------------------ M
 
 
-def test_log_mvgamma_anchors():
-    assert log_mvgamma(1, 3) == pytest.approx(math.log(2.0), abs=1e-14)
-    assert log_mvgamma(2, 2) == pytest.approx(math.log(math.pi), abs=1e-14)
-    assert log_mvgamma(2, 4) == pytest.approx(math.log(12.0 * math.pi), abs=1e-14)
+def _log_mvgamma_mp(dim: int, a: int):
+    """Log complex multivariate gamma ``pi^(dim(dim-1)/2) prod_{i<dim} Gamma(a-i)``."""
+    return dim * (dim - 1) / 2 * mpmath.log(mpmath.pi) + sum(
+        mpmath.loggamma(a - i) for i in range(dim)
+    )
 
 
-def test_log_mvgamma_pole():
-    with pytest.raises(PoleError):
-        log_mvgamma(2, 1.0)
-    with pytest.raises(PoleError):
-        log_mvgamma(3, 2)
+def _log_norm_mvgamma_mp(m_prime: int, p: int, n_prime: int):
+    """log M from five complex multivariate gammas, branched on the sign of p - m'.
+
+    An independent form of the constant: the pi powers cancel only in
+    exact arithmetic, and each branch has its own Gamma arguments.
+    """
+    d = min(m_prime, p)
+    others = (p, n_prime, d) if p >= m_prime else (m_prime, p + n_prime - m_prime, d)
+    return (
+        d * (d - 1) * mpmath.log(mpmath.pi)
+        + _log_mvgamma_mp(d, p + n_prime)
+        - mpmath.loggamma(d + 1)
+        - sum(_log_mvgamma_mp(d, arg) for arg in others)
+    )
+
+
+def test_norm_constant_matches_multivariate_gamma_form():
+    worst = 0.0
+    with mpmath.workdps(40):
+        for m_prime in range(1, 13):
+            for p in range(1, 13):
+                for n_prime in range(m_prime, 17):
+                    want = _log_norm_mvgamma_mp(m_prime, p, n_prime)
+                    err = abs(log_norm_constant(m_prime, p, n_prime) - want)
+                    worst = max(worst, float(err / max(1, abs(want))))
+    assert worst <= 1e-13
+
+
+def test_norm_constant_reflection_invariance():
+    # the law of 1/w is the reflected triple's (test_cdf_reciprocal_identity),
+    # which swaps a and b and keeps l: M is the same number
+    worst = 0.0
+    for m_prime in range(1, 9):
+        for p in range(1, 9):
+            for n_prime in range(m_prime, 12):
+                if p >= m_prime:
+                    reflected = (m_prime, n_prime, p)
+                else:
+                    reflected = (p, p + n_prime - m_prime, m_prime)
+                log_m = log_norm_constant(m_prime, p, n_prime)
+                err = abs(log_m - log_norm_constant(*reflected))
+                worst = max(worst, err / max(1.0, abs(log_m)))
+    assert worst <= 1e-13
 
 
 def test_norm_constant_quadrature_oracle_111():

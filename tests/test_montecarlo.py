@@ -352,9 +352,10 @@ def test_gsvd_moment_matches_quadrature():
 
 
 def _fake_draw(bad_per_call):
+    # every row is drawn; the last bad_per_call rows of each call are masked
     def draw(gen, want):
         vals = np.abs(gen.standard_normal((want, 1))) + 0.1
-        return vals[: max(0, want - bad_per_call)], min(bad_per_call, want)
+        return vals, np.arange(want) < want - bad_per_call
 
     return draw
 
@@ -374,11 +375,33 @@ def test_run_batch_keeps_one_discard_in_a_small_batch():
     # single discard (0.1% of 51 draws would be 0.05)
     def draw(gen, want):
         vals = np.abs(gen.standard_normal((want, 1))) + 0.1
-        bad = int(want == 50)
-        return vals[bad:], bad
+        return vals, np.arange(want) >= int(want == 50)
 
     batch = _run_batch(SamplerId.GSVD, (1, 1, 1), draw, 50, RngStream(1), 1)
     assert batch.failures == 1 and batch.count == 50
+
+
+@pytest.mark.parametrize("count", [50, CHUNK + 7])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_batch_drops_and_counts_masked_rows(count, workers):
+    # a draw returns every row with its mask; rows it masks hold values that
+    # SampleBatch would refuse (NaN, 0), so none may reach the batch
+    masked = []
+
+    def draw(gen, want):
+        vals = np.abs(gen.standard_normal((want, 1))) + 0.1
+        ok = np.ones(want, dtype=bool)
+        if want >= 50:  # the first call of each chunk of 50 draws or more
+            vals[0], ok[0] = np.nan, False
+        if want > 50:
+            vals[-1], ok[-1] = 0.0, False
+        masked.append(int(np.count_nonzero(~ok)))
+        return vals, ok
+
+    batch = _run_batch(SamplerId.GSVD, (1, 1, 1), draw, count, RngStream(1), workers)
+    assert batch.count == count
+    assert np.all(np.isfinite(batch.values)) and np.all(batch.values > 0.0)
+    assert batch.failures == sum(masked) == (1 if count == 50 else 2)
 
 
 # --------------------------------------------------------------------- ks
@@ -652,7 +675,7 @@ def test_samples_too_few_to_reject_are_refused_before_any_draw(monkeypatch, expe
 def test_normalization_refuses_samples_and_workers_before_any_work(
     monkeypatch, samples, workers, message
 ):
-    # the quadrature never reads them, but a report must not record them
+    # the quadrature reads neither, but every experiment refuses them first
     import gsvdist.montecarlo as mc
 
     def no_work(*args, **kwargs):
@@ -710,7 +733,16 @@ def test_report_records_inputs():
     )
     assert report.seed == 7 and report.workers == 2 and report.samples == 2_000
     assert report.dims["m_prime"] == 2 and report.dims["n_prime"] == 3
-    assert report.notes  # calibration caveat is always present
+    assert report.notes  # a sampling experiment carries the calibration caveat
+
+
+def test_only_sampling_reports_carry_the_calibration_note():
+    import gsvdist.montecarlo as mc
+
+    report = run_experiment("normalization", reduced=ReducedDims(3, 2, 4))
+    assert report.to_dict()["notes"] == []
+    report = run_experiment("equivalence", dims=ProblemDims(2, 3, 2), samples=200)
+    assert report.to_dict()["notes"] == [mc._CALIBRATION_NOTE]
 
 
 def test_batch_validation():
