@@ -343,7 +343,7 @@ def gsvd_spectrum_direct(a, c) -> GsvdSpectrum:
     bh = b.conj().T[None]
     w, ok = _stack_ratio(bh[:, :, : dims.m], bh[:, :, dims.m :], st.s)
     if not ok[0]:
-        raise DecompositionError("c^H c fails the rank test, or some w <= 0")
+        raise SingularityError("c^H c fails the rank test, or some w <= 0")
     return GsvdSpectrum(np.sqrt(w[0] / (1.0 + w[0])))
 
 

@@ -23,7 +23,7 @@ class DegeneracyError(DecompositionError):
 
 
 class SingularityError(DecompositionError):
-    """An eigenvalue fell below the near-singularity floor."""
+    """A Gram failed the Cholesky rank test, or a ratio eigenvalue is not positive."""
 
 
 class ParameterError(GsvdistError, ValueError):

@@ -22,6 +22,7 @@ from gsvdist import (
     ReducedDims,
     joint_pdf,
     law_params,
+    laws,
     log_norm_constant,
     marginal_cdf,
     marginal_pdf,
@@ -424,6 +425,70 @@ def test_marginal_cdf_rejects_bad_points():
         marginal_cdf(params, np.array([]))
     with pytest.raises(DimensionError):
         marginal_cdf(params, np.array([1.0, -1.0]))
+
+
+def _cdf_run_hook(monkeypatch, edit):
+    """Patch the CDF's run kernel so that ``edit(call, values)`` sees each run's values."""
+    calls = []
+
+    def hooked(table, w):
+        calls.append(w.size)
+        values = closed(table, w)
+        edit(len(calls), values)
+        return values
+
+    closed = laws._closed_cdf
+    monkeypatch.setattr(laws, "_closed_cdf", hooked)
+    return calls
+
+
+def test_cdf_refuses_a_run_that_leaves_the_unit_interval(monkeypatch):
+    # the second of three runs leaves [0, 1] by 1e-6: beyond roundoff
+    def edit(call, values):
+        if call == 2:
+            values[7] = 1.0 + 1e-6
+
+    calls = _cdf_run_hook(monkeypatch, edit)
+    grid = np.geomspace(1e-3, 1e3, 2 * (laws._BLOCK // 8) + 5)
+    with pytest.raises(ConsistencyError, match="beyond roundoff"):
+        marginal_cdf(law_params(2, 2, 3), grid)
+    assert len(calls) == 2
+
+
+def test_cdf_clips_roundoff_outside_the_unit_interval(monkeypatch):
+    def edit(call, values):
+        flat = values.reshape(-1)  # a view, also of a 0-d point's values
+        flat[-1], flat[0] = 1.0 + 1e-9, -1e-9  # one point keeps the later -1e-9
+
+    _cdf_run_hook(monkeypatch, edit)
+    out = marginal_cdf(law_params(2, 2, 3), np.array([0.5, 1.0, 2.0]))
+    assert out[0] == 0.0 and out[-1] == 1.0
+    assert marginal_cdf(law_params(2, 2, 3), 0.5) == 0.0
+
+
+@pytest.mark.parametrize("triple", [(6, 6, 8), (40, 40, 60)])
+@pytest.mark.parametrize("evaluate", [marginal_pdf, marginal_pdf_reciprocal, marginal_cdf])
+def test_runs_never_change_a_value(triple, evaluate):
+    # one call over 3 CDF runs and 5 points equals the same evaluator on
+    # run-sized slices, bit for bit, and a 2-d input keeps its shape
+    params = law_params(*triple)
+    run = laws._BLOCK // 8
+    grid = np.geomspace(1e-3, 1e3, 3 * run + 5)
+    whole = evaluate(params, grid)
+    pieces = [evaluate(params, grid[i : i + run]) for i in range(0, grid.size, run)]
+    np.testing.assert_array_equal(whole, np.concatenate(pieces))
+    square = evaluate(params, grid[: 3 * run].reshape(3, run))
+    assert square.shape == (3, run)
+    np.testing.assert_array_equal(square.reshape(-1), whole[: 3 * run])
+
+
+def test_cdf_run_length_does_not_shrink_with_the_order(monkeypatch):
+    # at l = 150 a 2003-point grid is one run, which pays the ladder's
+    # ~l^2 numpy calls once
+    calls = _cdf_run_hook(monkeypatch, lambda call, values: None)
+    values = marginal_cdf(law_params(150, 150, 150), np.geomspace(1e-3, 1e3, 2003))
+    assert calls == [2003]
+    assert np.all(np.diff(values) >= 0.0) and 0.0 <= values[0] and values[-1] <= 1.0
 
 
 # --------------------------------------------------------------- reciprocal
