@@ -2,9 +2,12 @@
 
 Subcommands: ``dims`` (structural parameters), ``pdf`` / ``cdf`` (marginal
 law tables), ``sample`` (raw sampler dumps), and ``verify`` (named
-statistical experiments).  Output is CSV (single header row) or JSON (a
-``meta`` object plus a ``data`` object; the timestamp and elapsed time in
-``meta`` are the only nondeterministic fields).
+statistical experiments).  Each command builds its JSON ``data``, its CSV
+rows (header first) and its ``meta`` once and hands them to one writer,
+the only reader of ``--format`` and ``--out``.  Output is CSV (single
+header row) or JSON (a ``meta`` object plus a ``data`` object; the
+timestamp and elapsed time in ``meta`` are the only nondeterministic
+fields).
 
 Exit codes: 0 success / statistical pass, 1 statistical fail, 2 usage or
 regime error, or an output file that cannot be written, 141 (128 + SIGPIPE,
@@ -22,6 +25,7 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from .montecarlo import (
 
 OUT_DIR_ENV = "GSVDIST_OUT_DIR"
 DEFAULT_GRID = (1e-3, 1e3, 200)
+_MAX_GRID_POINTS = 10**7  # a larger --grid is refused before any allocation
 
 
 def _fmt(x) -> str:
@@ -60,46 +65,41 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _resolve_out(path: str | None):
-    if path is None:
-        return None
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+def _write(args, meta: dict, data, rows) -> None:
+    """Write one command's output: JSON ``{meta, data}`` or the CSV ``rows``.
 
-
-def _emit(text: str, out_path: str | None) -> None:
-    target = _resolve_out(out_path)
-    if target is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    ``meta`` holds the command's own fields; the command name, version and
+    timestamp join them here.  ``data`` may hold numpy arrays, which JSON
+    writes as lists.  ``rows`` is an iterable of CSV rows, header first,
+    read only for CSV.  ``--out`` names a file in place of stdout, relative
+    to ``GSVDIST_OUT_DIR`` when that is set; a failed write raises
+    ``GsvdistError``.
+    """
+    if args.format == "json":
+        meta = {
+            "command": args.command,
+            "version": __version__,
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+            **meta,
+        }
+        payload = {"meta": meta, "data": data}
+        text = json.dumps(payload, sort_keys=True, indent=2, default=np.ndarray.tolist)
     else:
-        try:
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise GsvdistError(f"cannot write {target}: {exc.strerror}") from exc
-
-
-def _json_payload(command: str, meta_extra: dict, data) -> str:
-    meta = {
-        "command": command,
-        "version": __version__,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-    }
-    meta.update(meta_extra)
-    return json.dumps({"meta": meta, "data": data}, sort_keys=True, indent=2)
-
-
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
-    return buf.getvalue()
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([_fmt(x) for x in row] for row in rows)
+        text = buf.getvalue()
+    target = args.out
+    if target is None:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    base = os.environ.get(OUT_DIR_ENV)
+    if base and not os.path.isabs(target):
+        target = os.path.join(base, target)
+    try:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GsvdistError(f"cannot write {target}: {exc.strerror}") from exc
 
 
 def _pair_dims(args, what: str) -> ProblemDims:
@@ -119,6 +119,8 @@ def _grid(args) -> np.ndarray:
     if not (np.isfinite(points) and points == int(points)):
         raise GsvdistError(f"grid POINTS must be a whole number, got {points}")
     points = int(points)
+    if points > _MAX_GRID_POINTS:
+        raise GsvdistError(f"grid POINTS must be at most {_MAX_GRID_POINTS}, got {points}")
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo <= 0 or hi <= 0:
         raise GsvdistError("grid bounds must be finite and positive")
     if points == 1:
@@ -151,13 +153,9 @@ def cmd_dims(args) -> int:
         "n_prime": rd.n_prime if rd else None,
         "expected_q_power": power,
     }
-    if args.format == "json":
-        _emit(_json_payload("dims", {}, record), args.out)
-    else:
-        header = list(record)
-        row = [record[h] if record[h] is not None else "" for h in header]
-        row[-1] = _fmt(power) if power is not None else "undefined (m+q = n)"
-        _emit(_csv_text(header, [row]), args.out)
+    row = ["" if value is None else value for value in record.values()]
+    row[-1] = "undefined (m+q = n)" if power is None else power
+    _write(args, {}, record, [list(record), row])
     return 0
 
 
@@ -165,15 +163,8 @@ def _law_table(args, func, column: str) -> int:
     params = law_params(args.mp, args.p, args.np)
     grid = _grid(args)
     values = func(params, grid)
-    if args.format == "json":
-        data = {
-            "params": asdict(params),
-            "w": [float(x) for x in grid],
-            column: [float(x) for x in values],
-        }
-        _emit(_json_payload(column, {}, data), args.out)
-    else:
-        _emit(_csv_text(["w", column], zip(grid, values)), args.out)
+    data = {"params": asdict(params), "w": grid, column: values}
+    _write(args, {}, data, chain([["w", column]], zip(grid, values)))
     return 0
 
 
@@ -200,31 +191,28 @@ def cmd_sample(args) -> int:
     parse, draw = _SAMPLERS[sampler]
     dims = parse(args, f"sampler {sampler.value}")
     batch = draw(dims, args.samples, RngStream(args.seed), args.workers)
-
-    if args.format == "json":
-        data = {
-            "sampler": batch.sampler_id.value,
-            "dims": list(batch.dims),
-            "seed": batch.seed,
-            "count": batch.count,
-            "arity": batch.arity,
-            "failures": batch.failures,
-            "values": [[float(v) for v in row] for row in batch.values],
-        }
-        meta = {"seed": args.seed, "workers": args.workers}
-        _emit(_json_payload("sample", meta, data), args.out)
-    else:
-        lines = [
-            f"# sampler={sampler.value} dims={'x'.join(str(d) for d in batch.dims)} "
-            f"seed={batch.seed} count={batch.count} arity={batch.arity}"
-        ]
-        rows = (
-            (draw, index, batch.values[draw, index])
-            for draw in range(batch.count)
-            for index in range(batch.arity)
-        )
-        lines.append(_csv_text(["draw", "index", "value"], rows))
-        _emit("\n".join(lines), args.out)
+    values = batch.values.tolist()
+    data = {
+        "sampler": batch.sampler_id.value,
+        "dims": list(batch.dims),
+        "seed": batch.seed,
+        "count": batch.count,
+        "arity": batch.arity,
+        "failures": batch.failures,
+        "values": values,
+    }
+    # the comment is one field with no comma or quote: csv writes it as is
+    comment = (
+        f"# sampler={sampler.value} dims={'x'.join(str(d) for d in batch.dims)} "
+        f"seed={batch.seed} count={batch.count} arity={batch.arity}"
+    )
+    rows = (
+        (draw, index, value)
+        for draw, row in enumerate(values)
+        for index, value in enumerate(row)
+    )
+    meta = {"seed": args.seed, "workers": args.workers}
+    _write(args, meta, data, chain([[comment], ["draw", "index", "value"]], rows))
     return 0
 
 
@@ -241,28 +229,24 @@ def cmd_verify(args) -> int:
         alpha_level=args.alpha,
     )
 
-    if args.format == "json":
-        payload = report.to_dict()
-        meta_extra = {
-            "seed": report.seed,
-            "workers": report.workers,
-            "elapsed_seconds": report.elapsed_seconds,
-        }
-        _emit(_json_payload("verify", meta_extra, payload), args.out)
-    else:
-        rows = []
-        for name, check in report.checks:
-            rows.append(
-                [
-                    name,
-                    check["kind"],
-                    check.get("statistic", check.get("value", check.get("estimate"))),
-                    check.get("critical_value", check.get("target")),
-                    check["passed"],
-                ]
-            )
-        rows.append(["overall", "verdict", "", "", report.passed])
-        _emit(_csv_text(["check", "kind", "statistic", "reference", "passed"], rows), args.out)
+    rows = [["check", "kind", "statistic", "reference", "passed"]]
+    for name, check in report.checks:
+        rows.append(
+            [
+                name,
+                check["kind"],
+                check.get("statistic", check.get("value", check.get("estimate"))),
+                check.get("critical_value", check.get("target")),
+                check["passed"],
+            ]
+        )
+    rows.append(["overall", "verdict", "", "", report.passed])
+    meta = {
+        "seed": report.seed,
+        "workers": report.workers,
+        "elapsed_seconds": report.elapsed_seconds,
+    }
+    _write(args, meta, report.to_dict(), rows)
     return 0 if report.passed else 1
 
 

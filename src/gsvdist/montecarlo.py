@@ -390,6 +390,10 @@ def mean_report(values: np.ndarray, target: float) -> MeanReport:
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size < 2:
         raise DimensionError("mean test needs at least two values")
+    if not np.all(np.isfinite(values)):
+        raise DegeneracyError("mean test values must be finite")
+    if values.min() == values.max():
+        raise DegeneracyError("mean test values have zero spread")
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1) / sqrt(values.size))
     z = (estimate - target) / std_error

@@ -21,6 +21,15 @@ def _run(capsys, argv):
     return code, out
 
 
+def _both_formats(capsys, argv):
+    """(CSV rows as dicts, JSON data) of one command run in both formats."""
+    code, csv_out = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    code, json_out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    return list(csv.DictReader(io.StringIO(csv_out))), json.loads(json_out)["data"]
+
+
 def _strip_meta(payload: dict) -> dict:
     meta = dict(payload["meta"])
     meta.pop("generated_at", None)
@@ -55,6 +64,26 @@ def test_dims_square_stack_power_undefined(capsys):
     assert json.loads(out)["data"]["expected_q_power"] is None
 
 
+@pytest.mark.parametrize("dims", ["234", "236", "224"])
+def test_dims_csv_json_identical_values(capsys, dims):
+    # intermediate, deterministic and square stack (neither has a reduced
+    # triple, and the square stack has no power): null is an empty cell,
+    # or the power column's reason
+    argv = ["dims", *(arg for flag, d in zip(("--m", "--q", "--n"), dims) for arg in (flag, d))]
+    rows, data = _both_formats(capsys, argv)
+    assert len(rows) == 1 and sorted(rows[0]) == sorted(data)
+    for key, cell in rows[0].items():
+        value = data[key]
+        if value is None:
+            assert cell == ("undefined (m+q = n)" if key == "expected_q_power" else ""), key
+        elif isinstance(value, float):
+            assert float(cell) == value, key
+        else:
+            assert cell == str(value), key
+    assert (data["m_prime"] is None) == (dims != "234")
+    assert (data["expected_q_power"] is None) == (dims == "224")
+
+
 def test_dims_rejects_swapped_pair(capsys):
     code, _ = _run(capsys, ["dims", "--m", "3", "--q", "2", "--n", "4"])
     assert code == 2
@@ -74,14 +103,12 @@ def test_pdf_single_point(capsys):
 
 
 def test_pdf_csv_json_identical_values(capsys):
-    args = ["pdf", "--mp", "2", "--p", "1", "--np", "3", "--grid", "0.1", "10", "7"]
-    _, csv_out = _run(capsys, args + ["--format", "csv"])
-    _, json_out = _run(capsys, args + ["--format", "json"])
-    rows = list(csv.DictReader(io.StringIO(csv_out)))
-    payload = json.loads(json_out)["data"]
-    assert [float(r["w"]) for r in rows] == payload["w"]
-    assert [float(r["pdf"]) for r in rows] == payload["pdf"]
-    assert payload["params"]["l"] == 1
+    for column in ("pdf", "cdf"):
+        args = [column, "--mp", "2", "--p", "1", "--np", "3", "--grid", "0.1", "10", "7"]
+        rows, payload = _both_formats(capsys, args)
+        assert [float(r["w"]) for r in rows] == payload["w"]
+        assert [float(r[column]) for r in rows] == payload[column]
+        assert payload["params"]["l"] == 1
 
 
 def test_cdf_monotone_grid(capsys):
@@ -102,16 +129,22 @@ def test_pdf_order_eight(capsys):
     assert len(values) == 200 and all(v > 0.0 for v in values)
 
 
-def test_grid_validation(capsys):
-    # min > max, a non-finite MIN or MAX, and a POINTS that is not finite or
-    # not a whole number
+def test_grid_validation(capsys, monkeypatch):
+    # min > max, a non-finite MIN or MAX, a POINTS that is not finite or
+    # not a whole number, and a POINTS above the 10^7 ceiling, which is
+    # refused before any grid is allocated
+    def no_grid(*args, **kwargs):
+        raise AssertionError("allocated a grid before refusing it")
+
+    monkeypatch.setattr(np, "geomspace", no_grid)
     for grid in (("2", "1", "5"), ("1e-3", "inf", "4"), ("nan", "1", "4"),
-                 ("1e-3", "1e3", "nan"), ("1e-3", "1e3", "inf"), ("1e-3", "1e3", "2.7")):
+                 ("1e-3", "1e3", "nan"), ("1e-3", "1e3", "inf"), ("1e-3", "1e3", "2.7"),
+                 ("1e-3", "1e3", "1e300"), ("1e-3", "1e3", "10000001")):
         for command in ("pdf", "cdf"):
-            code, _ = _run(
-                capsys, [command, "--mp", "2", "--p", "2", "--np", "3", "--grid", *grid]
-            )
-            assert code == 2, (command, grid)
+            code = main([command, "--mp", "2", "--p", "2", "--np", "3", "--grid", *grid])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", (command, grid)
+            assert captured.err.startswith("error: grid"), (command, grid)
 
 
 # ------------------------------------------------------------------- sample
@@ -147,6 +180,35 @@ def test_sample_json_data_ignores_workers(capsys):
         assert payload["meta"]["workers"] == workers and "workers" not in payload["data"]
         dumps.append(json.dumps(payload["data"], sort_keys=True))
     assert len(set(dumps)) == 1
+
+
+@pytest.mark.parametrize(
+    "sampler, dims",
+    [("gsvd", ["--m", "2", "--q", "3", "--n", "2"]),
+     ("fmatrix", ["--mp", "2", "--p", "2", "--np", "3"]),
+     ("haar", ["--m", "2", "--q", "3", "--n", "4"]),
+     ("qpower", ["--m", "2", "--q", "2", "--n", "8"])],
+)
+def test_sample_csv_json_identical_values(capsys, sampler, dims):
+    argv = ["sample", "--sampler", sampler, *dims, "--samples", "6", "--seed", "4"]
+    code, csv_out = _run(capsys, argv)
+    assert code == 0
+    comment, *lines = csv_out.splitlines()
+    code, json_out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    data = json.loads(json_out)["data"]
+    fields = dict(kv.split("=") for kv in comment.removeprefix("# ").split())
+    assert fields == {
+        "sampler": data["sampler"],
+        "dims": "x".join(str(d) for d in data["dims"]),
+        "seed": str(data["seed"]),
+        "count": str(data["count"]),
+        "arity": str(data["arity"]),
+    }
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == data["count"] * data["arity"]
+    for row in rows:
+        assert float(row["value"]) == data["values"][int(row["draw"])][int(row["index"])]
 
 
 def test_sample_haar_wrong_regime(capsys):
@@ -342,6 +404,31 @@ def test_verify_normalization_csv_names_both_checks(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["check"] for r in rows] == ["density_normalization", "cdf_against_density", "overall"]
     assert rows[1]["kind"] == "quadrature" and float(rows[1]["reference"]) == 0.5
+
+
+@pytest.mark.parametrize(
+    "experiment, dims",
+    [("normalization", ["--mp", "3", "--p", "2", "--np", "4"]),
+     ("marginal", ["--m", "2", "--q", "3", "--n", "2"]),
+     ("qpower", ["--m", "2", "--q", "2", "--n", "8"]),
+     ("haar", ["--m", "2", "--q", "3", "--n", "4"]),
+     ("equivalence", ["--m", "2", "--q", "3", "--n", "2"])],
+)
+def test_verify_csv_json_identical_values(capsys, experiment, dims):
+    # one CSV row per check, then the verdict: statistic (or value, or
+    # estimate), reference (critical value or target) and passed
+    argv = ["verify", experiment, *dims, "--samples", "600", "--seed", "5"]
+    rows, data = _both_formats(capsys, argv)
+    checks = data["checks"]
+    assert [r["check"] for r in rows] == [c["name"] for c in checks] + ["overall"]
+    for row, check in zip(rows, checks):
+        statistic = check.get("statistic", check.get("value", check.get("estimate")))
+        reference = check.get("critical_value", check.get("target"))
+        assert row["kind"] == check["kind"]
+        assert float(row["statistic"]) == statistic
+        assert float(row["reference"]) == reference
+        assert row["passed"] == str(check["passed"]).lower()
+    assert rows[-1]["passed"] == str(data["passed"]).lower()
 
 
 def test_verify_deterministic_output(capsys):

@@ -9,6 +9,7 @@ floating-point machinery.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -602,6 +603,27 @@ def test_cdf_single_eigenvalue_is_the_beta_cdf(a, b):
     np.testing.assert_allclose(marginal_cdf(params, grid), ref, rtol=0.0, atol=1e-14)
 
 
+def test_cdf_table_memory_follows_the_kept_terms():
+    # (1, 1, 10^6): b = 999999 neighbour ratios of the binomial tail, of
+    # which a handful matter; the table never holds them all
+    params = law_params(1, 1, 10**6)
+    assert (params.l, params.t1, params.t1_reciprocal) == (1, 0, 999_999)
+    tracemalloc.start()
+    try:
+        laws._cdf_table.__wrapped__(params.l, params.t1, params.t1_reciprocal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    grid = np.geomspace(1e-9, 1e-4, 11)
+    with mpmath.workdps(40):
+        ref = [
+            float(mpmath.betainc(1, 10**6, 0, x / (1 + x), regularized=True))
+            for x in (mpmath.mpf(float(w)) for w in grid)
+        ]
+    np.testing.assert_allclose(marginal_cdf(params, grid), ref, rtol=0.0, atol=1e-14)
+
+
 def test_cdf_matches_exact_oracle_at_unbalanced_exponents():
     # a = 48, b = 70: the Beta part and the ladder both carry weight
     params = law_params(50, 2, 120)
@@ -614,11 +636,13 @@ def test_cdf_matches_exact_oracle_at_unbalanced_exponents():
 def test_cdf_matches_exact_oracle_at_large_order_and_unbalanced_exponents(triple):
     # l >= 5 with n' - m' >= 20: in one Jacobi basis the correction to
     # I_u(t1+1, n'-m'+1) has coefficients up to 1e6, so a single signed sum
-    # would err by 1e-9; the ladder adds products of bounded functions
+    # would err by 1e-9; the ladder adds products of bounded functions.
+    # The leading binomial term's log, summed as power log(rho) - n
+    # log1p(rho), cancelled to 8e-14 absolute at (10, 10, 300)
     params = law_params(*triple)
     grid = np.geomspace(1e-3, 1e3, 21)
     _, cdf_ref = _kernel_oracle(params, grid)
-    assert np.all(np.abs(marginal_cdf(params, grid) - cdf_ref) <= 1e-12)
+    assert np.all(np.abs(marginal_cdf(params, grid) - cdf_ref) <= 1e-14)
 
 
 def test_cdf_keeps_float_range_at_extreme_exponents():

@@ -490,6 +490,22 @@ def test_mean_report_fields():
     assert not report.passed
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.ones(3), "zero spread"),
+        (np.array([1.0, np.nan, 3.0]), "finite"),
+        (np.array([1.0, np.inf, 3.0]), "finite"),
+        (np.array([1.0, -np.inf]), "finite"),
+    ],
+)
+def test_mean_report_refuses_a_degenerate_sample(values, message):
+    # no division by a zero spread and no all-NaN report: a refusal, and no
+    # RuntimeWarning (an error under the pytest settings) on the way
+    with pytest.raises(DegeneracyError, match=message):
+        mean_report(values, 2.0)
+
+
 # ------------------------------------------------------------- experiments
 
 
