@@ -71,8 +71,9 @@ def _write(args, meta: dict, data, rows) -> None:
     ``meta`` holds the command's own fields; the command name, version and
     timestamp join them here.  ``data`` may hold numpy arrays, which JSON
     writes as lists.  ``rows`` is an iterable of CSV rows, header first,
-    read only for CSV.  ``--out`` names a file in place of stdout, relative
-    to ``GSVDIST_OUT_DIR`` when that is set; a failed write raises
+    read only for CSV.  The text ends in one newline in either format, and
+    the same bytes go to stdout or to the file that ``--out`` names,
+    relative to ``GSVDIST_OUT_DIR`` when that is set; a failed write raises
     ``GsvdistError``.
     """
     if args.format == "json":
@@ -83,14 +84,14 @@ def _write(args, meta: dict, data, rows) -> None:
             **meta,
         }
         payload = {"meta": meta, "data": data}
-        text = json.dumps(payload, sort_keys=True, indent=2, default=np.ndarray.tolist)
+        text = json.dumps(payload, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
     else:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([_fmt(x) for x in row] for row in rows)
         text = buf.getvalue()
     target = args.out
     if target is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
         return
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(target):

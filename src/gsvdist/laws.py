@@ -21,9 +21,13 @@ ch. 5; Forrester, *Log-gases and Random Matrices*, ch. 3):
 
 with ``p_k`` the orthonormal Jacobi polynomials on (0, 1), built by their
 three-term recurrence and normalized by ``B(a+1, b+1)`` from ``lgamma``.
-Every term is a square, so nothing cancels, and any ``l`` is allowed.  The
-reciprocal identity is the reflection ``u -> 1 - u = 1/(1+w)``, which swaps
-``a`` and ``b``.
+Every term is a square, so nothing cancels.  The ``phi_k`` are bounded, but
+``p_k`` is formed before the weight, so far from the bulk ``p_k^2``
+overflows while the weight underflows: on the CLI's default grid the
+density is finite up to ``l = 107`` at ``a = 0``, ``b = 10 l`` and up to
+``l = 286`` at ``a = b = 2 l``, the CDF up to 108 and 288, and beyond that
+every law refuses with :class:`ConsistencyError`.  The reciprocal identity
+is the reflection ``u -> 1 - u = 1/(1+w)``, which swaps ``a`` and ``b``.
 
 The CDF is closed form.  Let ``omega_{x,y}`` be the Beta(x+1, y+1)
 density, ``P^{x,y}_m`` its orthonormal polynomials (``P_0 = 1``) and
@@ -47,7 +51,7 @@ Applied down to ``m = 0``, with the contiguous relation
           - sum_{m=1..d} c_m P^{x+1,y+1}_{m-1}(u) P^{x,y}_m(u).
 
 Every term is a product of two orthonormal Beta functions, bounded on
-[0, 1], so nothing large cancels for any ``(l, a, b)``.  The shifts nest
+[0, 1], so nothing large cancels (within the range above).  The shifts nest
 Horner-style in ``u (1-u) / rho`` from the deepest one, and each shift's
 polynomials serve as the ``P^{x+1,y+1}`` of the shift below it: a point
 costs about ``l^2 / 2`` recurrence steps and as many products.
@@ -189,51 +193,73 @@ def joint_pdf(params: LawParams, w) -> float:
 
 
 @lru_cache(maxsize=64)
-def _recurrence(l: int, a: int, b: int) -> tuple[tuple, tuple, float]:
-    """Orthonormal three-term recurrence on (0, 1) for the weight ``u^a (1-u)^b``.
+def _steps(x: int, y: int, factor: tuple[float, ...]) -> tuple:
+    """The step table of ``f_k P_k``, ``P_k`` orthonormal for ``u^x (1-u)^y``, ``f = factor``.
 
-    ``u p_k = beta_{k+1} p_{k+1} + alpha_k p_k + beta_k p_{k-1}`` with
-    ``p_0 = B(a+1, b+1)^(-1/2)``: the Jacobi recurrence (Szegő, *Orthogonal
-    Polynomials*, §4.5) moved from (-1, 1) to (0, 1).  Returns
-    ``alpha_0..alpha_{l-2}``, ``beta_0..beta_{l-1}`` with ``beta_0 = 0``, and
-    ``log(l B(a+1, b+1))``.
+    ``u P_k = beta_{k+1} P_{k+1} + alpha_k P_k + beta_k P_{k-1}`` on (0, 1)
+    (Szegő, *Orthogonal Polynomials*, §4.5).  Step ``k`` is ``(1/beta_{k+1},
+    alpha_k/beta_{k+1}, beta_k/beta_{k+1})`` times ``f_{k+1}/f_k``, the same,
+    and ``f_{k+1}/f_{k-1}`` (0 at ``k = 0``); the density takes unit factors.
     """
     alpha, beta = [], [0.0]
-    for k in range(l - 1):
-        s = 2 * k + a + b
-        # s = 0 only when a = b = 0, where the numerator vanishes as well
-        alpha.append(0.5 + (a * a - b * b) / (2.0 * max(s, 1) * (s + 2)))
-    for k in range(1, l):
-        s = 2 * k + a + b
-        beta.append(math.sqrt(k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1) * (s - 1))))
-    log_norm = math.log(l) + math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2)
-    return tuple(alpha), tuple(beta), log_norm
+    for k in range(len(factor) - 1):
+        s = 2 * k + x + y
+        # s = 0 only when x = y = 0, where the numerator vanishes as well
+        alpha.append(0.5 + (x * x - y * y) / (2.0 * max(s, 1) * (s + 2)))
+    for k in range(1, len(factor)):
+        s = 2 * k + x + y
+        beta.append(math.sqrt(k * (k + x) * (k + y) * (k + x + y) / (s * s * (s + 1) * (s - 1))))
+    return tuple(
+        (
+            factor[k + 1] / factor[k] / beta[k + 1],
+            factor[k + 1] / factor[k] * alpha[k] / beta[k + 1],
+            factor[k + 1] / factor[k - 1] * beta[k] / beta[k + 1] if k else 0.0,
+        )
+        for k in range(len(factor) - 1)
+    )
 
 
-def _kernel(l: int, a: int, b: int, u, log_weight):
-    """``(1/l) sum_{k<l} phi_k(u)^2`` with ``phi_k = sqrt(u^a (1-u)^b) p_k(u)``.
+def _family(u, start: float, steps: tuple):
+    """Yield ``start = f_0 P_0``, then each ``(u inv - shift) f_k P_k - ratio f_{k-1} P_{k-1}``.
 
-    ``log_weight`` is ``log(u^a (1-u)^b)``, times any Jacobian, formed by the
-    caller from the most accurate logs it has.  A sum of squares: no term
-    can cancel another.
+    Every member after the first is a new array, and only the last two are
+    held: a caller that sums as members arrive keeps a few arrays per run.
     """
-    alpha, beta, log_norm = _recurrence(l, a, b)
-    prev, cur, total = 0.0, 1.0, 1.0
-    for k in range(l - 1):
-        prev, cur = cur, ((u - alpha[k]) * cur - beta[k] * prev) / beta[k + 1]
-        total = total + cur * cur
-    return np.exp(log_weight - log_norm) * total
+    prev, cur = None, start
+    yield cur
+    for inv, shift, ratio in steps:
+        nxt = u * inv
+        nxt -= shift
+        nxt *= cur
+        if prev is not None:
+            nxt -= prev * ratio
+        yield nxt
+        prev, cur = cur, nxt
+
+
+def _kernel(params: LawParams, a: int, b: int, u_of_w, w):
+    """The density on one run: ``(1+w)^-2 (1/l) sum_{k<l} phi_k(u)^2``, ``u = u_of_w(w)``.
+
+    ``phi_k = sqrt(u^a (1-u)^b) p_k(u)``, run from ``p_0 = 1``: the weight,
+    ``(1+w)^-2``, ``p_0^2 = 1/B(a+1, b+1)`` and ``1/l`` join in one log, and
+    ``u^a (1-u)^b (1+w)^-2 = w^t1 (1+w)^-(t1+t1'+2)`` either way.  No term cancels.
+    """
+    l = params.l
+    total = sum(member * member for member in _family(u_of_w(w), 1.0, _steps(a, b, (1.0,) * l)))
+    log_weight = params.t1 * np.log(w) - (params.t1 + params.t1_reciprocal + 2) * np.log1p(w)
+    log_weight -= math.log(l) + math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2)
+    return np.exp(log_weight) * total
 
 
 def _evaluate(f, w, check, width: int):
     """``f`` over the points ``w`` in runs of ``_BLOCK // width``: every law's one point path.
 
-    Refuses an empty ``w`` and, through ``check``, a point outside the
-    domain.  ``f`` is elementwise, so a ``w`` within one run goes in as it
-    is: a 0-d point runs on numpy scalars and returns a Python float.  The
-    width is the evaluator's constant, never the order's: each run pays
-    ``f``'s numpy calls again, ~``l^2`` for the CDF, whose run (width 8)
-    holds about ``2l + 8`` arrays of 4096 doubles, 20 MB at ``l = 300``.
+    Refuses an empty ``w``, through ``check`` a point outside the domain,
+    and a value that is not finite.  ``f`` is elementwise, so a ``w`` within
+    one run goes in as it is: a 0-d point runs on numpy scalars and returns
+    a Python float.  The width is the evaluator's constant, not the order's:
+    each run repeats ``f``'s numpy calls, ~``l^2`` for the CDF, whose run
+    (width 8) holds about ``2l + 8`` arrays of 4096 doubles, 20 MB at ``l = 300``.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
@@ -241,23 +267,20 @@ def _evaluate(f, w, check, width: int):
     check(w)
     step = _BLOCK // width
     if w.size <= step:
-        return float(f(w)) if w.ndim == 0 else f(w)
-    flat = w.reshape(-1)
-    out = np.empty(flat.shape)
-    for i in range(0, flat.size, step):
-        out[i : i + step] = f(flat[i : i + step])
-    return out.reshape(w.shape)
+        out = f(w)
+    else:
+        flat = w.reshape(-1)
+        out = np.empty(flat.shape)
+        for i in range(0, flat.size, step):
+            out[i : i + step] = f(flat[i : i + step])
+        out = out.reshape(w.shape)
+    if not np.isfinite(out).all():
+        raise ConsistencyError("a law value is not finite: the recurrence left the float range")
+    return float(out) if w.ndim == 0 else out
 
 
 def _density(params: LawParams, w, a: int, b: int, u_of_w):
-    # u^a (1-u)^b (1+w)^-2 is w^t1 (1+w)^-(t1 + t1' + 2) in either orientation
-    shift = params.t1 + params.t1_reciprocal + 2
-
-    def run(w):
-        log_weight = params.t1 * np.log(w) - shift * np.log1p(w)
-        return _kernel(params.l, a, b, u_of_w(w), log_weight)
-
-    return _evaluate(run, w, _check_positive, 1)
+    return _evaluate(lambda w: _kernel(params, a, b, u_of_w, w), w, _check_positive, 1)
 
 
 def marginal_pdf(params: LawParams, w):
@@ -297,9 +320,8 @@ class _CdfTable(NamedTuple):
     is the one member of the deepest family, and ``ladder`` has one entry
     per shift ``j < l-1``, deepest first: the factor ``1/rho`` that nests
     the deeper shifts, the slope and intercept of ``R_j``'s linear part,
-    and the family ``f_jk P^{a+j,b+j}_k`` as its constant member ``f_j0``
-    and its steps, ``(1/beta_{k+1}, alpha_k/beta_{k+1}, beta_k/beta_{k+1})``
-    times the ratios of the factors ``f`` that each joins.
+    and the family ``f_jk P^{a+j,b+j}_k`` as its member ``f_j0`` and its
+    :func:`_steps` table of the factors ``f_j``.
     """
 
     split: float
@@ -336,19 +358,6 @@ def _rho(x: int, y: int) -> float:
     return (x + 1) * (y + 1) / ((x + y + 2) * (x + y + 3))
 
 
-def _scaled_steps(x: int, y: int, factor: list[float]) -> tuple:
-    """Recurrence steps of ``factor[k] P_k``, ``P_k`` orthonormal for ``u^x (1-u)^y``."""
-    alpha, beta, _ = _recurrence(len(factor), x, y)
-    return tuple(
-        (
-            factor[k + 1] / factor[k] / beta[k + 1],
-            factor[k + 1] / factor[k] * alpha[k] / beta[k + 1],
-            factor[k + 1] / factor[k - 1] * beta[k] / beta[k + 1] if k else 0.0,
-        )
-        for k in range(len(factor) - 1)
-    )
-
-
 @lru_cache(maxsize=64)
 def _cdf_table(l: int, a: int, b: int) -> _CdfTable:
     pu, pv = a + 1, b + 1
@@ -382,7 +391,7 @@ def _cdf_table(l: int, a: int, b: int) -> _CdfTable:
             d / (x + y + 3),
             -d * (y + 1) / ((x + y + 2) * (x + y + 3)),
             factors[j][0],
-            _scaled_steps(x, y, factors[j]),
+            _steps(x, y, tuple(factors[j])),
         ))
     return _CdfTable(
         split=pu / pv,
@@ -398,23 +407,13 @@ def _cdf_table(l: int, a: int, b: int) -> _CdfTable:
 
 def _ladder_sum(table: _CdfTable, u: np.ndarray, uv: np.ndarray) -> np.ndarray:
     """``sum_j (omega_{a+j+1,b+j+1} / omega_{a+1,b+1}) R_j(u)``, nested from the deepest shift."""
-    tmp = np.empty_like(u)
     upper, total = [table.top], None
     for nest, slope, intercept, start, steps in table.ladder:
-        family = [start]
-        for k, (inv, shift, ratio) in enumerate(steps):
-            nxt = u * inv
-            nxt -= shift
-            nxt *= family[-1]
-            if k:
-                np.multiply(family[-2], ratio, out=tmp)
-                nxt -= tmp
-            family.append(nxt)
+        family = list(_family(u, start, steps))
         r = u * slope
         r += intercept
         for low, high in zip(upper, family[1:]):
-            np.multiply(low, high, out=tmp)
-            r += tmp
+            r += low * high
         if total is not None:
             total *= uv
             total *= nest
@@ -474,12 +473,12 @@ def marginal_cdf(params: LawParams, w):
     per ``(l, a, b)``.  One path serves every law: no term is large, so
     nothing cancels.  Above the Beta mean it is evaluated as one minus the
     mass above ``w``, which keeps values near one accurate.  The module
-    docstring gives the construction and its measured error: 7.3e-16
-    absolute for ``m', p <= 10``, ``n' <= 12``.
+    docstring gives the construction, its float-range limit and its
+    measured error: 7.3e-16 absolute for ``m', p <= 10``, ``n' <= 12``.
     """
     def run(w):
         total = _closed_cdf(_cdf_table(params.l, params.t1, params.t1_reciprocal), w)
-        if not (total.min() >= -1e-9 and total.max() <= 1.0 + 1e-9):
+        if total.min() < -1e-9 or total.max() > 1.0 + 1e-9:
             raise ConsistencyError("CDF evaluation left [0, 1] beyond roundoff")
         return np.clip(total, 0.0, 1.0, out=total)
 

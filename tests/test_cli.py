@@ -313,6 +313,23 @@ def test_closed_stdout_ends_without_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+def test_a_law_value_beyond_float_range_exits_2():
+    # at (300, 300, 3300) the density's recurrence leaves the float range
+    # away from the bulk: the command refuses instead of printing nan
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-m", "gsvdist.cli", "pdf",
+         "--mp", "300", "--p", "300", "--np", "3300", "--grid", "0.1", "3", "3"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: a law value is not finite"), proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv, flags",
     [
@@ -463,6 +480,32 @@ def test_out_file_and_env_dir(tmp_path, monkeypatch, capsys):
     assert code == 0 and out == ""
     payload = json.loads((tmp_path / "d.json").read_text())
     assert payload["data"]["k"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dims", "--m", "2", "--q", "3", "--n", "4"],
+     ["pdf", "--mp", "3", "--p", "2", "--np", "4", "--grid", "0.5", "2", "3"],
+     ["cdf", "--mp", "3", "--p", "2", "--np", "4", "--grid", "0.5", "2", "3"],
+     ["sample", "--sampler", "gsvd", "--m", "2", "--q", "3", "--n", "2", "--samples", "6"],
+     ["verify", "normalization", "--mp", "3", "--p", "2", "--np", "4"]],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_file_holds_the_stdout_text(tmp_path, capsys, argv, fmt):
+    # one newline rule for both targets: the file ends in exactly one "\n",
+    # a CSV file is stdout's bytes, and a JSON file holds stdout's data
+    argv = [*argv, "--format", fmt]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    target = tmp_path / f"out.{fmt}"
+    code, nothing = _run(capsys, [*argv, "--out", str(target)])
+    assert code == 0 and nothing == ""
+    text = target.read_bytes()
+    assert text.endswith(b"\n") and not text.endswith(b"\n\n")
+    if fmt == "csv":
+        assert text == out.encode()
+    else:
+        assert json.loads(text)["data"] == json.loads(out)["data"]
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):

@@ -372,6 +372,43 @@ def test_marginal_large_exponents_stay_in_log_domain():
     np.testing.assert_allclose(marginal_pdf_reciprocal(params, w), closed, rtol=1e-10)
 
 
+def _jacobi_pdf_oracle(params, points):
+    """Density at ``points`` as a 60-digit sum of orthonormal Jacobi terms.
+
+    With ``u = w/(1+w)``, ``a = t1`` and ``b = n' - m'``, the polynomials
+    ``P_k(2u-1)`` of ``mpmath.jacobi(k, b, a, .)`` are orthogonal for
+    ``u^a (1-u)^b`` on (0, 1) with squared norm
+    ``G(k+a+1) G(k+b+1) / ((2k+a+b+1) G(k+a+b+1) k!)``.
+    """
+    a, b, l = params.t1, params.t1_reciprocal, params.l
+    with mpmath.workdps(60):
+        values = []
+        for w in points:
+            x = mpmath.mpf(float(w))
+            u = x / (1 + x)
+            total = sum(
+                mpmath.jacobi(k, b, a, 2 * u - 1) ** 2
+                * (2 * k + a + b + 1)
+                * mpmath.gamma(k + a + b + 1)
+                * mpmath.factorial(k)
+                / (mpmath.gamma(k + a + 1) * mpmath.gamma(k + b + 1))
+                for k in range(l)
+            )
+            values.append(float(u**a * (1 - u) ** b * total / (l * (1 + x) ** 2)))
+        return np.array(values)
+
+
+@pytest.mark.parametrize("triple", [(40, 40, 60), (60, 20, 80)])
+def test_density_matches_jacobi_sum_at_high_order(triple):
+    # recurrence orders 40 and 20 with b = 20, a = 0 and a = 40: past the
+    # exact oracle's reach; measured at most 7.1e-14 relative
+    params = law_params(*triple)
+    grid = np.geomspace(1e-2, 1e2, 9)
+    ref = _jacobi_pdf_oracle(params, grid)
+    for evaluator in (marginal_pdf, marginal_pdf_reciprocal):
+        np.testing.assert_allclose(evaluator(params, grid), ref, rtol=1e-12, atol=0.0)
+
+
 def test_marginal_pdf_rejects_bad_points():
     params = law_params(2, 2, 2)
     with pytest.raises(DimensionError):
@@ -492,6 +529,19 @@ def test_cdf_run_length_does_not_shrink_with_the_order(monkeypatch):
     assert np.all(np.diff(values) >= 0.0) and 0.0 <= values[0] and values[-1] <= 1.0
 
 
+@pytest.mark.parametrize("evaluate", [marginal_pdf, marginal_pdf_reciprocal, marginal_cdf])
+def test_a_value_beyond_float_range_is_refused(evaluate):
+    # at l = 300, b = 3000 the polynomials pass 1e308 where the weight
+    # underflows, away from the bulk: no NaN comes back, from an array or a
+    # scalar, while a point in the bulk still evaluates
+    params = law_params(300, 300, 3300)
+    with np.errstate(all="ignore"):
+        for w in (np.array([0.1, 0.5477225575051661, 3.0]), 3.0):
+            with pytest.raises(ConsistencyError, match="not finite"):
+                evaluate(params, w)
+        assert math.isfinite(evaluate(params, 0.1))
+
+
 # --------------------------------------------------------------- reciprocal
 
 
@@ -507,22 +557,35 @@ def test_reciprocal_anchor_212():
     assert marginal_pdf_reciprocal(params, 2.0) == pytest.approx(expected, rel=1e-12)
 
 
-def test_reciprocal_terms_identical_when_exponents_coincide():
-    # p = m' = n' forces t1 = |m'-p| = 0 = n'-m' = t1', so the two
-    # evaluators share the exact recurrence table, and the reflection
-    # u -> 1 - u only flips the sign of the odd-degree p_k
-    from gsvdist.laws import _recurrence
+def _assert_steps_reflect(l: int, a: int, b: int) -> None:
+    # alpha'_k = 1 - alpha_k and beta'_k = beta_k turn each unit-factor step
+    # (1/beta_{k+1}, alpha_k/beta_{k+1}, beta_k/beta_{k+1}) of (a, b) into
+    # (inv, inv - shift, ratio) of (b, a); the betas are symmetric in a, b
+    ones = (1.0,) * l
+    steps, reflected = laws._steps(a, b, ones), laws._steps(b, a, ones)
+    assert len(steps) == len(reflected) == l - 1
+    for (inv, shift, ratio), (inv_r, shift_r, ratio_r) in zip(steps, reflected):
+        assert (inv_r, ratio_r) == (inv, ratio)
+        assert abs(shift_r - (inv - shift)) <= 1e-15 * inv
 
+
+def test_reciprocal_terms_identical_when_exponents_coincide():
+    # p = m' = n' forces t1 = |m'-p| = 0 = n'-m' = t1', so the reflection
+    # maps the recurrence table to itself (alpha_k = 1/2) and only flips the
+    # sign of the odd-degree p_k
     grid = np.geomspace(1e-3, 1e3, 21)
     for d in (2, 3, 4):
         params = law_params(d, d, d)
         assert params.t1_reciprocal == params.t1 == 0
-        assert _recurrence(params.l, params.t1, params.t1_reciprocal) == _recurrence(
-            params.l, params.t1_reciprocal, params.t1
-        )
+        _assert_steps_reflect(params.l, params.t1, params.t1_reciprocal)
         np.testing.assert_allclose(
             marginal_pdf_reciprocal(params, grid), marginal_pdf(params, grid), rtol=1e-12, atol=0.0
         )
+
+
+@pytest.mark.parametrize("l, a, b", [(2, 1, 0), (5, 3, 7), (8, 0, 2), (40, 0, 20), (20, 40, 20)])
+def test_reflected_steps_swap_alpha_and_keep_beta(l, a, b):
+    _assert_steps_reflect(l, a, b)
 
 
 def test_reciprocal_identity_random_params():
