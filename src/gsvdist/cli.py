@@ -10,9 +10,13 @@ timestamp and elapsed time in ``meta`` are the only nondeterministic
 fields).
 
 Exit codes: 0 success / statistical pass, 1 statistical fail, 2 usage or
-regime error, or an output file that cannot be written, 141 (128 + SIGPIPE,
-as a shell reports a command that a closed pipe ends) when the reader of
-stdout closes it early, as ``| head`` does.
+regime error, a law value that leaves the float range (at large order), or
+an output file that cannot be written, 141 (128 + SIGPIPE, as a shell
+reports a command that a closed pipe ends) when the reader of stdout closes
+it early, as ``| head`` does.  A refusal after the flags parse, such as a
+law value beyond the float range, writes one ``error:`` line to stderr and
+nothing to stdout: numpy's floating-point warnings are silenced, since
+every law value and every sampler row is checked.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from . import __version__
 from .engine import (
     ProblemDims,
     ReducedDims,
-    Regime,
     compute_structure,
     expected_q_power,
     reduced_dims,
@@ -160,21 +163,13 @@ def cmd_dims(args) -> int:
     return 0
 
 
-def _law_table(args, func, column: str) -> int:
+def _law_table(args, law) -> int:
     params = law_params(args.mp, args.p, args.np)
     grid = _grid(args)
-    values = func(params, grid)
-    data = {"params": asdict(params), "w": grid, column: values}
-    _write(args, {}, data, chain([["w", column]], zip(grid, values)))
+    values = law(params, grid)
+    data = {"params": asdict(params), "w": grid, args.command: values}
+    _write(args, {}, data, chain([["w", args.command]], zip(grid, values)))
     return 0
-
-
-def cmd_pdf(args) -> int:
-    return _law_table(args, marginal_pdf, "pdf")
-
-
-def cmd_cdf(args) -> int:
-    return _law_table(args, marginal_cdf, "cdf")
 
 
 # sampler -> (dimensions parser, draw); the lambdas look the sampler up at
@@ -273,14 +268,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, required=required, help="numerator columns p")
         p.add_argument("--np", type=int, required=required, help="denominator columns n'")
 
+    def add_run(p):
+        add_pair(p, required=False)
+        add_reduced(p, required=False)
+        p.add_argument("--samples", type=int, default=20000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--workers", type=int, default=1)
+
     p_dims = sub.add_parser("dims", help="structural parameters of a pair")
     add_pair(p_dims, required=True)
     add_common(p_dims, "json")
     p_dims.set_defaults(func=cmd_dims)
 
-    for name, fn, help_text in (
-        ("pdf", cmd_pdf, "tabulate the marginal density"),
-        ("cdf", cmd_cdf, "tabulate the marginal distribution function"),
+    # the laws are read here, when main() builds the parser, so a wrapper
+    # bound to the module name before that sees every call
+    for name, law, help_text in (
+        ("pdf", marginal_pdf, "tabulate the marginal density"),
+        ("cdf", marginal_cdf, "tabulate the marginal distribution function"),
     ):
         p = sub.add_parser(name, help=help_text)
         add_reduced(p, required=True)
@@ -294,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
             "infinity",
         )
         add_common(p, "csv")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=lambda args, law=law: _law_table(args, law))
 
     p_sample = sub.add_parser("sample", help="dump raw sampler draws")
     p_sample.add_argument(
@@ -302,11 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[s.value for s in SamplerId],
         required=True,
     )
-    add_pair(p_sample, required=False)
-    add_reduced(p_sample, required=False)
-    p_sample.add_argument("--samples", type=int, default=20000)
-    p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--workers", type=int, default=1)
+    add_run(p_sample)
     add_common(p_sample, "csv")
     p_sample.set_defaults(func=cmd_sample)
 
@@ -315,11 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         choices=[e.value for e in Experiment],
     )
-    add_pair(p_verify, required=False)
-    add_reduced(p_verify, required=False)
-    p_verify.add_argument("--samples", type=int, default=20000)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--workers", type=int, default=1)
+    add_run(p_verify)
     p_verify.add_argument("--alpha", type=float, default=0.01)
     add_common(p_verify, "json")
     p_verify.set_defaults(func=cmd_verify)
@@ -331,7 +327,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        # every law value passes laws._evaluate's finite check and every
+        # sampler row its mask, so a numpy warning reports no fault they miss
+        with np.errstate(all="ignore"):
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except GsvdistError as exc:

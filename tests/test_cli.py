@@ -315,19 +315,27 @@ def test_closed_stdout_ends_without_traceback():
 
 def test_a_law_value_beyond_float_range_exits_2():
     # at (300, 300, 3300) the density's recurrence leaves the float range
-    # away from the bulk: the command refuses instead of printing nan
+    # away from the bulk: each command refuses instead of printing nan, and
+    # its one error line is all it writes (no numpy warning before it)
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-m", "gsvdist.cli", "pdf",
-         "--mp", "300", "--p", "300", "--np", "3300", "--grid", "0.1", "3", "3"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
-    )
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: a law value is not finite"), proc.stderr
+    triple = ["--mp", "300", "--p", "300", "--np", "3300"]
+    for argv in (
+        ["pdf", *triple, "--grid", "0.1", "3", "3"],
+        ["cdf", *triple, "--grid", "0.1", "3", "3"],
+        ["verify", "normalization", *triple],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gsvdist.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == "", argv
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: a law value is not finite"), proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -719,6 +719,52 @@ def test_cdf_keeps_float_range_at_extreme_exponents():
     assert np.all((values >= 0.0) & (values <= 1.0)) and np.all(np.diff(values) >= 0.0)
 
 
+def _wachter_cdf(alpha: float, beta: float, u: np.ndarray) -> np.ndarray:
+    """CDF of Wachter's limit density (Ann. Statist. 8, 1980) of the Jacobi
+    ensemble ``u^a (1-u)^b`` at ``a = alpha l``, ``b = beta l``, ``l -> infinity``:
+    ``(2+alpha+beta) sqrt((u-lo)(hi-u)) / (2 pi u (1-u))`` on ``[lo, hi]``.
+
+    With ``u = lo + (hi-lo)(1-cos theta)/2`` the integrand is smooth in
+    theta, so a 2e5-node trapezoid, normalized by its total, integrates it.
+    """
+    lo, hi = (
+        (np.sqrt((1 + alpha) * (1 + alpha + beta)) + sign * np.sqrt(1 + beta)) ** 2
+        / (2 + alpha + beta) ** 2
+        for sign in (-1, 1)
+    )
+    theta = np.linspace(0.0, np.pi, 200_001)
+    rise, fall = (hi - lo) * np.sin(theta / 2) ** 2, (hi - lo) * np.cos(theta / 2) ** 2
+    # (u - lo) / u and (hi - u) / (1 - u); each tends to 1 where both vanish
+    left = np.divide(rise, lo + rise, out=np.ones_like(theta), where=lo + rise > 0)
+    right = np.divide(fall, 1 - hi + fall, out=np.ones_like(theta), where=1 - hi + fall > 0)
+    density = (2 + alpha + beta) / (2 * np.pi) * left * right
+    steps = np.diff(theta) * (density[1:] + density[:-1]) / 2
+    cumulative = np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum()
+    at = 2 * np.arcsin(np.sqrt(np.clip((u - lo) / (hi - lo), 0.0, 1.0)))
+    return np.interp(at, theta, cumulative)
+
+
+def test_wachter_cdf_is_the_arcsine_law_at_zero_exponents():
+    u = np.linspace(0.001, 0.999, 999)
+    arcsine = 2 / np.pi * np.arcsin(np.sqrt(u))
+    np.testing.assert_allclose(_wachter_cdf(0.0, 0.0, u), arcsine, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "triple", [(100, 100, 150), (100, 200, 300), (150, 150, 150), (300, 300, 310)]
+)
+def test_cdf_approaches_wachter_limit_at_large_order(triple):
+    # a coarse independent check at l >= 100, where no exact oracle is
+    # cheap: the finite-l CDF is within O(1/l) of the limit law (measured
+    # l sup|F - F_inf| = 0.029, 0.030, 0.0088, 0.0052)
+    params = law_params(*triple)
+    a, b = params.t1, params.t1_reciprocal
+    u = np.linspace(0.001, 0.999, 999)
+    limit = _wachter_cdf(a / params.l, b / params.l, u)
+    gap = np.max(np.abs(marginal_cdf(params, u / (1 - u)) - limit))
+    assert params.l * gap <= 0.1, params.l * gap
+
+
 def test_cdf_monotone_on_the_cli_grid():
     # the default CLI grid, every triple 1 <= m', p <= 6, m' <= n' <= 8:
     # values in [0, 1] and no decrease at all between neighbouring points

@@ -146,3 +146,28 @@ def test_only_the_quadrature_oracle_imports_scipy():
             if any(mod.split(".")[0] == "scipy" for mod in modules):
                 importers.add(path.relative_to(package).as_posix())
     assert importers == {"quadrature.py"}
+
+
+def test_every_imported_name_is_read():
+    # no linter runs in Tier-1: an import that nothing reads is a dead line;
+    # __init__.py is exempt, its imports are the public re-exports
+    package = Path(__file__).resolve().parents[1] / "src" / "gsvdist"
+    unread = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        module = path.relative_to(package).as_posix()
+        unread += [f"{module}: {name}" for name in bound if name not in read]
+    assert unread == []
