@@ -15,8 +15,7 @@ an output file that cannot be written, 141 (128 + SIGPIPE, as a shell
 reports a command that a closed pipe ends) when the reader of stdout closes
 it early, as ``| head`` does.  A refusal after the flags parse, such as a
 law value beyond the float range, writes one ``error:`` line to stderr and
-nothing to stdout: numpy's floating-point warnings are silenced, since
-every law value and every sampler row is checked.
+nothing to stdout.
 """
 
 from __future__ import annotations
