@@ -26,7 +26,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from itertools import chain
 
@@ -144,16 +144,10 @@ def cmd_dims(args) -> int:
     except GsvdistError:
         power = None
     record = {
-        "m": dims.m,
-        "q": dims.q,
-        "n": dims.n,
-        "k": st.k,
-        "r": st.r,
-        "s": st.s,
+        **asdict(dims),
+        **asdict(st),
         "regime": st.regime.value,
-        "m_prime": rd.m_prime if rd else None,
-        "p": rd.p if rd else None,
-        "n_prime": rd.n_prime if rd else None,
+        **(asdict(rd) if rd else dict.fromkeys(f.name for f in fields(ReducedDims))),
         "expected_q_power": power,
     }
     row = ["" if value is None else value for value in record.values()]

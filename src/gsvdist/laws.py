@@ -313,9 +313,11 @@ def marginal_pdf_reciprocal(params: LawParams, w):
 class _CdfTable(NamedTuple):
     """Constants of :func:`marginal_cdf` for one ``(l, a, b)``.
 
-    Pairs hold the value below the split, then above it, where the values
-    are the reflected law's, ``(a, b) -> (b, a)``, below its split; only
-    the correction's ``scale`` changes sign there.  ``horner`` lists
+    ``power`` is ``(pu, pv) = (a+1, b+1)``, which fix the split
+    ``w = pu/pv`` and the binomial order ``n = pu + pv - 1``.  Pairs hold
+    the value below the split, then above it, where the values are the
+    reflected law's, ``(a, b) -> (b, a)``, below its split; only the
+    correction's ``scale`` changes sign there.  ``horner`` lists
     the binomial-tail coefficients from the highest degree down.  ``top``
     is the one member of the deepest family, and ``ladder`` has one entry
     per shift ``j < l-1``, deepest first: the factor ``1/rho`` that nests
@@ -324,8 +326,6 @@ class _CdfTable(NamedTuple):
     :func:`_steps` table of the factors ``f_j``.
     """
 
-    split: float
-    n: int
     power: tuple[int, int]
     log_binom: tuple[float, float]
     horner: tuple[tuple[float, float], ...]
@@ -394,8 +394,6 @@ def _cdf_table(l: int, a: int, b: int) -> _CdfTable:
             _steps(x, y, tuple(factors[j])),
         ))
     return _CdfTable(
-        split=pu / pv,
-        n=n,
         power=(pu, pv),
         log_binom=log_binom,
         horner=tuple(zip_longest(*terms, fillvalue=0.0))[::-1],
@@ -424,7 +422,9 @@ def _ladder_sum(table: _CdfTable, u: np.ndarray, uv: np.ndarray) -> np.ndarray:
 
 def _closed_cdf(table: _CdfTable, w: np.ndarray) -> np.ndarray:
     """``F(w)`` by the closed form, both sides of the split in shared passes."""
-    above = w > table.split
+    pu, pv = table.power
+    split = pu / pv
+    above = w > split
 
     def pick(pair):
         return np.where(above, pair[1], pair[0])
@@ -440,13 +440,13 @@ def _closed_cdf(table: _CdfTable, w: np.ndarray) -> np.ndarray:
     lead = np.log1p(np.where(above, w, inv))
     power = pick(table.power)
     lead *= -power
-    lead -= (table.n - power) * np.log1p(rho)
+    lead -= (pu + pv - 1 - power) * np.log1p(rho)
     lead += pick(table.log_binom)
     lead = np.exp(lead)
     rows = iter(table.horner)
     tail = pick(next(rows))
     if len(table.horner) > 1:
-        z = rho * np.where(above, table.split, 1.0 / table.split)
+        z = rho * np.where(above, split, 1.0 / split)
         for pair in rows:
             tail *= z
             tail += pick(pair)

@@ -10,12 +10,13 @@ and a mean test checks the closed-form power of the shared right factor.
 Batches are drawn in chunks of ``CHUNK`` draws; chunk ``i`` uses substream
 ``i`` of the batch's stream, and results merge by concatenation in chunk
 order, so a report is a pure function of the seed; ``workers`` sets threads
-only.  Draws that fail the rank test, the singular-value classification or
-a Cholesky factorization are discarded one by one and counted, and each
-check reports the count of its batches as ``discarded``.  One failure
-budget, 0.1% of the draws made and never less than one draw, applies to
-each chunk while it draws and to the whole batch; exceeding it aborts the
-batch rather than risk biased censoring.
+only, and every thread runs under the caller's numpy error state.  Draws
+that fail the rank test, the singular-value classification or a Cholesky
+factorization are discarded one by one and counted, and each check reports
+the count of its batches as ``discarded``.  One failure budget, 0.1% of
+the draws made and never less than one draw, applies to each chunk while
+it draws and to the whole batch; exceeding it aborts the batch rather than
+risk biased censoring.
 """
 
 from __future__ import annotations
@@ -148,10 +149,14 @@ def _run_batch(
         raise DimensionError(f"count must be >= 1, got {count}")
     _check_workers(workers)
     jobs = list(enumerate(_chunk_sizes(count)))
+    # numpy's error state is a context variable, which pool threads do not
+    # inherit: every chunk runs under the caller's
+    state = np.geterr()
 
     def run(job):
         i, size = job
-        return _fill_chunk(draw_fn, rng.substream(i).generator(), size)
+        with np.errstate(**state):
+            return _fill_chunk(draw_fn, rng.substream(i).generator(), size)
 
     # the chunks fix the draws; the threads only schedule them
     threads = min(workers, len(jobs), os.cpu_count() or 1)
@@ -239,10 +244,12 @@ def sample_alpha_haar(
 
     Built by QR, the unitary's first n columns are, up to column phases,
     the Q factor of its Gaussian draw's first n columns, so the upper-left
-    route is the cosine-sine step of :func:`sample_w_gsvd` on those columns:
-    ``haar_truncation_vs_gsvd`` checks the Haar construction and the
-    streams, and the lower-right Gram route (``haar_block_equivalence``) is
-    the one with arithmetic of its own.
+    route is the cosine-sine step of :func:`sample_w_gsvd` on those columns,
+    and the lower-right Gram route (``haar_block_equivalence``) is the one
+    with arithmetic of its own.  Neither route sees the column phases: a
+    diagonal unitary on the right changes neither block's spectrum.  So
+    ``haar_truncation_vs_gsvd`` checks the QR and the streams, not the
+    phase step that makes the unitary Haar.
     """
     st = compute_structure(dims)
     if st.regime is not Regime.INTERMEDIATE:
@@ -441,9 +448,12 @@ _CALIBRATION_NOTE = (
 
 # batch source -> draw(dims, reduced, count, rng, workers), valued in w (the
 # two-sample KS statistic is unchanged by the monotone map alpha^2 -> w);
-# test -> report(batches, dims, reduced, alpha level).  Samplers and tests
-# are looked up as module globals at call time, so a wrapper bound to their
-# names, such as a tracer or a draw counter, sees every call.
+# test -> (report(batches, dims, reduced, alpha level), powerless(n, alpha)),
+# where powerless says whether n draws per batch leave the test unable to
+# reject: a KS statistic never exceeds one, and a mean test needs two draws.
+# Samplers and tests are looked up as module globals at call time, so a
+# wrapper bound to their names, such as a tracer or a draw counter, sees
+# every call.
 _SOURCES = {
     "gsvd": lambda dims, rd, *run: sample_w_gsvd(dims, *run),
     "fmatrix": lambda dims, rd, *run: sample_w_fmatrix(rd, *run),
@@ -454,20 +464,18 @@ _SOURCES = {
     "qpower": lambda dims, rd, *run: sample_q_power(dims, *run),
 }
 _TESTS = {
-    "ks_two_sample": lambda batches, dims, rd, alpha: ks_two_sample(*batches, alpha),
-    "ks_one_sample": lambda batches, dims, rd, alpha: ks_one_sample(
-        *batches, law_params(*rd.as_tuple()), alpha
+    "ks_two_sample": (
+        lambda batches, dims, rd, alpha: ks_two_sample(*batches, alpha),
+        lambda n, alpha: _ks_critical_value(alpha, n, n) >= 1.0,
     ),
-    "mean": lambda batches, dims, rd, alpha: mean_report(
-        batches[0].values, expected_q_power(dims)
+    "ks_one_sample": (
+        lambda batches, dims, rd, alpha: ks_one_sample(*batches, law_params(*rd.as_tuple()), alpha),
+        lambda n, alpha: _ks_critical_value(alpha, n) >= 1.0,
     ),
-}
-# test -> whether n draws per batch leave it unable to reject: a KS
-# statistic never exceeds one, and a mean test needs two draws
-_POWERLESS = {
-    "ks_two_sample": lambda n, alpha: _ks_critical_value(alpha, n, n) >= 1.0,
-    "ks_one_sample": lambda n, alpha: _ks_critical_value(alpha, n) >= 1.0,
-    "mean": lambda n, alpha: n < 2,
+    "mean": (
+        lambda batches, dims, rd, alpha: mean_report(batches[0].values, expected_q_power(dims)),
+        lambda n, alpha: n < 2,
+    ),
 }
 
 
@@ -516,7 +524,7 @@ def _sampling_checks(experiment, dims, samples, seed, workers, alpha_level):
             "m + q = n the sampling variance makes a 3-sigma acceptance meaningless"
         )
     for name, test, _ in spec.checks:
-        if _POWERLESS[test](samples, alpha_level):
+        if _TESTS[test][1](samples, alpha_level):
             raise ParameterError(f"samples = {samples} is too few: {name} could not reject")
 
     batches = {
@@ -526,7 +534,7 @@ def _sampling_checks(experiment, dims, samples, seed, workers, alpha_level):
     checks = []
     for name, test, reads in spec.checks:
         read = [batches[key] for key in reads]
-        report = _TESTS[test](read, dims, rd, alpha_level).to_dict()
+        report = _TESTS[test][0](read, dims, rd, alpha_level).to_dict()
         discarded = sum(batch.failures for batch in read)
         checks.append((name, {"kind": test, **report, "discarded": discarded}))
     return record, checks

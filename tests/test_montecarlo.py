@@ -1,6 +1,8 @@
 """Sampler contracts, KS machinery, and the experiment harness."""
 
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from gsvdist import (
     SamplerId,
     alpha_sq_to_w,
     expected_q_power,
+    gsvd_factorize,
     gsvd_spectrum,
     ks_one_sample,
     ks_two_sample,
@@ -35,6 +38,7 @@ from gsvdist import (
 )
 from gsvdist.engine import _stack_cosines, _top_cosines, compute_structure
 from gsvdist.errors import (
+    DecompositionError,
     DegeneracyError,
     DimensionError,
     GsvdistError,
@@ -207,7 +211,7 @@ def test_haar_upper_block_is_the_qr_then_cs_route(dims):
     # a QR-built Haar unitary's first n columns are the phase-corrected Q
     # factor of its Gaussian draw's first n columns, so the upper-left route
     # computes _stack_cosines' cosines of those columns: haar_truncation_vs_gsvd
-    # checks the Haar construction and the streams, not that kernel
+    # checks the QR and the streams, not that kernel or the phase step
     dims = ProblemDims(*dims)
     count, rng = 500, RngStream(8)
     batch = sample_alpha_haar(dims, count, rng)
@@ -266,6 +270,39 @@ def test_haar_lower_block_matches_the_inline_eigenvalues_bit_for_bit(dims):
     evals = np.linalg.eigvalsh(blk.conj().transpose(0, 2, 1) @ blk)[:, ::-1]
     assert batch.failures == 0
     np.testing.assert_array_equal(batch.values.view(np.uint64), evals.view(np.uint64))
+
+
+def test_haar_routes_do_not_see_the_phase_step():
+    # sample_haar_unitary replays the plain QR of the same Ginibre draw with
+    # each column times a unit phase.  A diagonal unitary on the right keeps
+    # the upper-left block's singular values and the lower-right block's
+    # Gram eigenvalues, so both Haar routes check the QR and the streams,
+    # not the phase step; that shows only in R = U^H Z, whose diagonal is
+    # real and positive for the Haar draw and not for the plain QR
+    dims, count = ProblemDims(2, 3, 4), 2000
+    m, n = dims.m, dims.n
+    u = sample_haar_unitary(m + dims.q, RngStream(3), count=count)
+    z = sample_ginibre(m + dims.q, m + dims.q, RngStream(3), count=count)
+    q, _ = np.linalg.qr(z)
+    phase = np.einsum("kij,kij->kj", q.conj(), u)
+    np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(u, q * phase[:, None, :], rtol=0.0, atol=1e-14)
+
+    def routes(x):
+        lower = x[:, m:, n:]
+        return (
+            np.linalg.svd(x[:, :m, :n], compute_uv=False),
+            np.linalg.eigvalsh(lower.conj().transpose(0, 2, 1) @ lower),
+        )
+
+    for haar, plain in zip(routes(u), routes(q)):
+        np.testing.assert_allclose(haar, plain, rtol=1e-13, atol=1e-14)
+
+    def r_diagonal_is_positive(x):
+        d = np.einsum("kii->ki", x.conj().transpose(0, 2, 1) @ z)
+        return bool(np.all(np.abs(d.imag) <= 1e-13 * np.abs(d)) and np.all(d.real > 0.0))
+
+    assert r_diagonal_is_positive(u) and not r_diagonal_is_positive(q)
 
 
 def test_haar_lower_block_discards_unit_and_zero_values_per_draw(monkeypatch):
@@ -402,6 +439,61 @@ def test_run_batch_drops_and_counts_masked_rows(count, workers):
     assert batch.count == count
     assert np.all(np.isfinite(batch.values)) and np.all(batch.values > 0.0)
     assert batch.failures == sum(masked) == (1 if count == 50 else 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_batch_aborts_when_chunks_within_budget_sum_over_it(workers):
+    # 2 discards in the 2000-draw chunk (2 <= 2.002) and 1 in the 100-draw
+    # chunk (1 <= 1) pass their own budgets, but 3 of 2103 draws do not
+    def draw(gen, want):
+        ok = np.ones(want, dtype=bool)
+        ok[: {CHUNK: 2, 100: 1}.get(want, 0)] = False
+        return np.ones((want, 1)), ok
+
+    with pytest.raises(DegeneracyError, match=r"^batch aborted: failure rate 0\.14% exceeds 0\.1%$"):
+        _run_batch(SamplerId.GSVD, (1, 1, 1), draw, CHUNK + 100, RngStream(1), workers)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: run_experiment("equivalence"), RegimeError,
+         "equivalence experiment needs pair dimensions"),
+        (lambda: run_experiment("normalization"), RegimeError,
+         "normalization experiment needs reduced dimensions"),
+        (lambda: mean_report(np.array([1.0]), 1.0), DimensionError,
+         "mean test needs at least two values"),
+        (lambda: gsvd_factorize(np.zeros((1, 3)), sample_ginibre(2, 3, RngStream(0))),
+         DecompositionError, "stacked pair is rank deficient"),
+    ],
+)
+def test_library_refusals(call, error, message):
+    # refusals that the CLI never reaches: a missing input, one value for a
+    # mean test, a rank-deficient stack
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_chunk_runs_under_the_callers_numpy_error_state(workers):
+    # np.errstate is a context variable that pool threads do not inherit;
+    # workers set threads only, so an overflow raises or stays silent alike
+    if workers > (os.cpu_count() or 1):
+        pytest.skip("one core: no pool starts")
+
+    def draw(gen, want):
+        # 1e308 * 10 overflows to inf; the row clipped to 1 is a valid draw
+        return np.minimum(np.full((want, 1), 1e308) * 10.0, 1.0), np.ones(want, dtype=bool)
+
+    def run():
+        return _run_batch(SamplerId.GSVD, (1, 1, 1), draw, CHUNK + 7, RngStream(1), workers)
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        run()
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run().count == CHUNK + 7
 
 
 # --------------------------------------------------------------------- ks
