@@ -114,13 +114,9 @@ def log_norm_constant(m_prime: int, p: int, n_prime: int) -> float:
     ``1/M`` is Selberg's integral of the Jacobi ensemble ``u^a (1-u)^b``,
     ``a = |m' - p|``, ``b = n' - m'`` (Mehta, *Random Matrices*, ch. 17):
     one Gamma product for either sign of ``p - m'``, every argument >= 1.
+    It is the ``log_m`` field of :func:`law_params`.
     """
-    l = ReducedDims(m_prime, p, n_prime).l
-    a, b = abs(m_prime - p), n_prime - m_prime
-    return sum(
-        math.lgamma(a + b + 2 * l - i) - math.lgamma(a + l - i) - math.lgamma(b + l - i)
-        - math.lgamma(l - i) for i in range(l)
-    ) - math.lgamma(l + 1)
+    return law_params(m_prime, p, n_prime).log_m
 
 
 @dataclass(frozen=True)
@@ -145,15 +141,22 @@ class LawParams:
 
 def law_params(m_prime: int, p: int, n_prime: int) -> LawParams:
     """Validate a triple as :class:`ReducedDims` and derive the full law parameterization."""
+    l = ReducedDims(m_prime, p, n_prime).l
+    a, b = abs(m_prime - p), n_prime - m_prime
+    # Selberg's Gamma product: see log_norm_constant
+    log_m = sum(
+        math.lgamma(a + b + 2 * l - i) - math.lgamma(a + l - i) - math.lgamma(b + l - i)
+        - math.lgamma(l - i) for i in range(l)
+    ) - math.lgamma(l + 1)
     return LawParams(
         m_prime=m_prime,
         p=p,
         n_prime=n_prime,
-        l=ReducedDims(m_prime, p, n_prime).l,
-        t1=abs(m_prime - p),
+        l=l,
+        t1=a,
         t2=p + n_prime,
-        t1_reciprocal=n_prime - m_prime,
-        log_m=log_norm_constant(m_prime, p, n_prime),
+        t1_reciprocal=b,
+        log_m=log_m,
     )
 
 

@@ -9,14 +9,15 @@ and a mean test checks the closed-form power of the shared right factor.
 
 Batches are drawn in chunks of ``CHUNK`` draws; chunk ``i`` uses substream
 ``i`` of the batch's stream, and results merge by concatenation in chunk
-order, so a report is a pure function of the seed; ``workers`` sets threads
-only, and every thread runs under the caller's numpy error state.  Draws
-that fail the rank test, the singular-value classification or a Cholesky
-factorization are discarded one by one and counted, and each check reports
-the count of its batches as ``discarded``.  One failure budget, 0.1% of
-the draws made and never less than one draw, applies to each chunk while
-it draws and to the whole batch; exceeding it aborts the batch rather than
-risk biased censoring.
+order, so a report is a pure function of the seed.  Every batch runs on a
+pool of ``min(workers, chunks, cores)`` threads, one thread at ``workers =
+1``: ``workers`` sets that count only, and every thread runs under the
+caller's numpy error state.  Draws that fail the rank test, the
+singular-value classification or a Cholesky factorization are discarded
+one by one and counted, and each check reports the count of its batches as
+``discarded``.  One failure budget, 0.1% of the draws made and never less
+than one draw, applies to each chunk while it draws and to the whole
+batch; exceeding it aborts the batch rather than risk biased censoring.
 """
 
 from __future__ import annotations
@@ -159,19 +160,15 @@ def _run_batch(
             return _fill_chunk(draw_fn, rng.substream(i).generator(), size)
 
     # the chunks fix the draws; the threads only schedule them
-    threads = min(workers, len(jobs), os.cpu_count() or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=min(workers, len(jobs), os.cpu_count() or 1)) as pool:
+        results = list(pool.map(run, jobs))
 
     values = np.concatenate([r[0] for r in results], axis=0)
     failures = sum(r[1] for r in results)
     if _over_budget(failures, count + failures):
         raise DegeneracyError(
             f"batch aborted: failure rate {failures / (count + failures):.2%} "
-            "exceeds 0.1%"
+            f"exceeds {MAX_FAILURE_RATE:.1%}"
         )
     return SampleBatch(
         sampler_id=sampler_id,

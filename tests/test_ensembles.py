@@ -79,6 +79,23 @@ def test_haar_column_uniformity():
     assert abs(mean_p - 1.0 / 3.0) < 0.005
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_haar_trace_moments(dim):
+    # Diaconis-Shahshahani: for dim >= 2, tr U has mean 0 with real and
+    # imaginary parts of variance 1/2 each, and |tr U|^2 has mean 1 and
+    # variance 1.  Column phases move both means, so a draw without the
+    # phase step (the plain QR factor) fails here.
+    n = 20_000
+    u = sample_haar_unitary(dim, RngStream(31, dim), count=n)
+    tr = np.trace(u, axis1=1, axis2=2)
+    z = [
+        tr.real.mean() / np.sqrt(0.5 / n),
+        tr.imag.mean() / np.sqrt(0.5 / n),
+        (np.mean(np.abs(tr) ** 2) - 1.0) / np.sqrt(1.0 / n),
+    ]
+    assert np.all(np.abs(z) <= 4.0), z
+
+
 def _ks_two_sample_stat(x, y):
     x, y = np.sort(x), np.sort(y)
     grid = np.concatenate([x, y])

@@ -80,8 +80,9 @@ def test_gsvd_batch_workers_deterministic():
 
 
 def test_batch_threads_are_capped_at_the_core_count(monkeypatch):
-    # 50 requested workers on 3 chunks: 2 threads on 2 cores, 3 on 64.  A
-    # serial stand-in for the pool records the cap and starts no thread.
+    # 50 requested workers on 3 chunks: 2 threads on 2 cores, 3 on 64; one
+    # requested worker: 1 thread.  A serial stand-in for the pool records the
+    # cap and starts no thread.
     import threading
 
     import gsvdist.montecarlo as mc
@@ -104,14 +105,16 @@ def test_batch_threads_are_capped_at_the_core_count(monkeypatch):
     monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
     threads = threading.active_count()
     batches = []
-    for cores in (2, 64):
+    for cores, workers in ((2, 50), (64, 50), (64, 1)):
         monkeypatch.setattr(mc.os, "cpu_count", lambda: cores)
         batches.append(
-            sample_w_gsvd(ProblemDims(2, 3, 4), 3 * CHUNK, RngStream(5), workers=50)
+            sample_w_gsvd(ProblemDims(2, 3, 4), 3 * CHUNK, RngStream(5), workers=workers)
         )
-    assert caps == [2, 3] and threading.active_count() == threads
+    # one path: a workers = 1 batch runs on a pool of one thread
+    assert caps == [2, 3, 1] and threading.active_count() == threads
     # the cap leaves the chunks, and so the draws, as they were
-    np.testing.assert_array_equal(batches[0].values, batches[1].values)
+    for batch in batches[1:]:
+        np.testing.assert_array_equal(batch.values, batches[0].values)
 
 
 def test_gsvd_refuses_deterministic_regime():
@@ -475,12 +478,20 @@ def test_library_refusals(call, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_every_chunk_runs_under_the_callers_numpy_error_state(workers):
+@pytest.mark.parametrize(
+    "workers, cores",
+    [
+        pytest.param(1, None, id="1"),
+        pytest.param(2, None, id="2"),
+        pytest.param(2, 1, id="2-one-core"),
+    ],
+)
+def test_every_chunk_runs_under_the_callers_numpy_error_state(workers, cores, monkeypatch):
     # np.errstate is a context variable that pool threads do not inherit;
-    # workers set threads only, so an overflow raises or stays silent alike
-    if workers > (os.cpu_count() or 1):
-        pytest.skip("one core: no pool starts")
+    # workers set threads only, so an overflow raises or stays silent alike,
+    # on a pool of one thread as on a pool of two
+    if cores is not None:
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
 
     def draw(gen, want):
         # 1e308 * 10 overflows to inf; the row clipped to 1 is a valid draw
@@ -532,12 +543,12 @@ def test_ks_critical_constants():
 def test_ks_null_calibration():
     # two seeds of the same sampler must look identical in distribution;
     # with alpha = 0.01 at most one rejection is expected in 100 repeats
-    # on the committed master seed
+    # on the committed master seed; the draws do not depend on the workers
     dims = ProblemDims(2, 3, 2)
     failures = 0
     for rep in range(100):
-        a = sample_w_gsvd(dims, 20_000, RngStream(1000 + rep, 0))
-        b = sample_w_gsvd(dims, 20_000, RngStream(1000 + rep, 1))
+        a = sample_w_gsvd(dims, 20_000, RngStream(1000 + rep, 0), workers=2)
+        b = sample_w_gsvd(dims, 20_000, RngStream(1000 + rep, 1), workers=2)
         if not ks_two_sample(a, b, 0.01).passed:
             failures += 1
     assert failures <= 1

@@ -171,3 +171,41 @@ def test_every_imported_name_is_read():
         module = path.relative_to(package).as_posix()
         unread += [f"{module}: {name}" for name in bound if name not in read]
     assert unread == []
+
+
+def _loads(tree):
+    return [
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_every_private_module_name_is_read():
+    # code with no caller is deleted: each module-level private name (a
+    # function, class or constant) is read somewhere in the package other
+    # than inside its own definition
+    package = Path(__file__).resolve().parents[1] / "src" / "gsvdist"
+    trees = {
+        path.relative_to(package).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.rglob("*.py"))
+    }
+    reads = [name for tree in trees.values() for name in _loads(tree)]
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = _loads(node)
+            unread += [
+                f"{module}: {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and reads.count(name) == own.count(name)
+            ]
+    assert unread == []
