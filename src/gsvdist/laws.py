@@ -436,9 +436,10 @@ def _closed_cdf(table: _CdfTable, w: np.ndarray) -> np.ndarray:
     # C(n, pu) u^pu v^(pv-1), or C(n, pu-1) u^(pu-1) v^pv, is
     # C rho^power (1+rho)^-n, whose log is written as two terms of one sign,
     # -power log1p(1/rho) - (n-power) log1p(rho), so that nothing cancels
-    # at large n
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / w
+    # at large n.  -0.0 passes the domain check, and 1/w overflows for w
+    # below 1/DBL_MAX: either way inv is +inf and the value 0, as at +0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / np.abs(w)
     rho = np.where(above, inv, w)
     lead = np.log1p(np.where(above, w, inv))
     power = pick(table.power)

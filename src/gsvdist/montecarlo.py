@@ -28,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from math import sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -476,65 +475,58 @@ _TESTS = {
 }
 
 
-class _Sampling(NamedTuple):
-    checks: tuple  # (name, test, ((source, stream index), ...)) per check
-    reads_reduced: bool = False  # refuses s = 0 and records (m', p, n')
-    mean_gap: bool = False  # refuses |m + q - n| < MEAN_TEST_MIN_GAP
-
-
+# experiment -> its checks, (name, test, ((source, stream index), ...)) each.
+# The refusals and the record follow from the names the checks read: a
+# source or test in _READS_REDUCED reads (m', p, n'), so its experiment
+# refuses s = 0 and records the triple, and a "mean" check refuses
+# |m + q - n| < MEAN_TEST_MIN_GAP, both before any draw
+_READS_REDUCED = {"fmatrix", "ks_one_sample"}
 _SAMPLING = {
-    Experiment.EQUIVALENCE: _Sampling(
-        (("gsvd_vs_ratio_ensemble", "ks_two_sample", (("gsvd", 0), ("fmatrix", 1))),),
-        reads_reduced=True,
+    Experiment.EQUIVALENCE: (
+        ("gsvd_vs_ratio_ensemble", "ks_two_sample", (("gsvd", 0), ("fmatrix", 1))),
     ),
-    Experiment.MARGINAL: _Sampling(
-        (
-            ("gsvd_vs_marginal_cdf", "ks_one_sample", (("gsvd", 0),)),
-            ("ratio_ensemble_vs_marginal_cdf", "ks_one_sample", (("fmatrix", 1),)),
-        ),
-        reads_reduced=True,
+    Experiment.MARGINAL: (
+        ("gsvd_vs_marginal_cdf", "ks_one_sample", (("gsvd", 0),)),
+        ("ratio_ensemble_vs_marginal_cdf", "ks_one_sample", (("fmatrix", 1),)),
     ),
-    Experiment.HAAR_CHAIN: _Sampling(
-        (
-            ("haar_truncation_vs_gsvd", "ks_two_sample", (("haar", 0), ("gsvd", 2))),
-            ("haar_block_equivalence", "ks_two_sample", (("haar", 0), ("haar_lower", 1))),
-        )
+    Experiment.HAAR_CHAIN: (
+        ("haar_truncation_vs_gsvd", "ks_two_sample", (("haar", 0), ("gsvd", 2))),
+        ("haar_block_equivalence", "ks_two_sample", (("haar", 0), ("haar_lower", 1))),
     ),
-    Experiment.Q_POWER_MEAN: _Sampling(
-        (("power_mean", "mean", (("qpower", 0),)),), mean_gap=True
-    ),
+    Experiment.Q_POWER_MEAN: (("power_mean", "mean", (("qpower", 0),)),),
 }
 
 
 def _sampling_checks(experiment, dims, samples, seed, workers, alpha_level):
     if dims is None:
         raise RegimeError(f"{experiment.value} experiment needs pair dimensions")
-    spec = _SAMPLING[experiment]
+    checks = _SAMPLING[experiment]
+    names = {test for _, test, _ in checks} | {src for *_, reads in checks for src, _ in reads}
     rd = reduced_dims(dims)
     record = asdict(dims)
-    if spec.reads_reduced:
+    if names & _READS_REDUCED:
         _random_structure(dims)
         record.update(asdict(rd))
-    if spec.mean_gap and (gap := _power_gap(dims)) < MEAN_TEST_MIN_GAP:
+    if "mean" in names and (gap := _power_gap(dims)) < MEAN_TEST_MIN_GAP:
         raise RegimeError(
             f"mean test needs |m + q - n| >= {MEAN_TEST_MIN_GAP}, got {gap}: near "
             "m + q = n the sampling variance makes a 3-sigma acceptance meaningless"
         )
-    for name, test, _ in spec.checks:
+    for name, test, _ in checks:
         if _TESTS[test][1](samples, alpha_level):
             raise ParameterError(f"samples = {samples} is too few: {name} could not reject")
 
     batches = {
         (src, i): _SOURCES[src](dims, rd, samples, RngStream(seed, i), workers)
-        for src, i in dict.fromkeys(key for _, _, reads in spec.checks for key in reads)
+        for src, i in dict.fromkeys(key for _, _, reads in checks for key in reads)
     }
-    checks = []
-    for name, test, reads in spec.checks:
+    reports = []
+    for name, test, reads in checks:
         read = [batches[key] for key in reads]
         report = _TESTS[test][0](read, dims, rd, alpha_level).to_dict()
         discarded = sum(batch.failures for batch in read)
-        checks.append((name, {"kind": test, **report, "discarded": discarded}))
-    return record, checks
+        reports.append((name, {"kind": test, **report, "discarded": discarded}))
+    return record, reports
 
 
 def _normalization_checks(reduced):

@@ -624,6 +624,21 @@ def test_cdf_boundaries():
     assert marginal_cdf(params, 1e14) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("triple", [(2, 2, 3), (1, 1, 1), (6, 6, 8), (400, 3, 900)])
+def test_cdf_at_negative_zero_and_subnormal_points(triple):
+    # -0.0 passes the domain check, and 1/w overflows at a subnormal w; the
+    # value is +0.0's, with no refusal and no RuntimeWarning (an error under
+    # the pytest settings), and every other point of the array is unchanged
+    params = law_params(*triple)
+    assert marginal_cdf(params, -0.0) == 0.0
+    grid = np.array([-0.0, 0.0, 5e-324, 1e-310, 1e-300, 1.0, np.inf])
+    values = marginal_cdf(params, grid)
+    assert values[0] == values[1] == 0.0
+    assert 0.0 <= values[2] <= values[3] <= values[4] < 1e-290
+    np.testing.assert_array_equal(values, [marginal_cdf(params, w) for w in grid])
+    np.testing.assert_array_equal(values[4:], marginal_cdf(params, grid[4:]))
+
+
 def test_cdf_reciprocal_identity():
     # the law of 1/w swaps a = t1 and b = n' - m', so F(w) + F_R(1/w) = 1;
     # a point below the split of one table is above the split of the other,
@@ -824,6 +839,32 @@ def test_normalization_subset():
         params = law_params(*triple)
         integral = quadrature_integrate(lambda w: marginal_pdf(params, w), 1e-8)
         assert integral == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [(1, 1, 2), (2, 2, 4), (2, 3, 3), (3, 2, 5), (3, 4, 6), (4, 4, 7), (5, 2, 9), (6, 6, 8),
+     (10, 10, 14), (20, 5, 30), (40, 40, 60)],
+)
+def test_marginal_moments_match_exact_inverse_wishart_values(triple):
+    # with W = y y^H complex Wishart and d = n' - m', E[W^-1] = I/d and
+    # E[W^-2] = n' I / (d (d^2 - 1)) give E[w] and E[w^2] of one eigenvalue;
+    # E[w] is also the integral of 1 - F, a check of the CDF with no density,
+    # and E[u], u = w/(1+w), is the Jacobi ensemble's (a + l) / (a + b + 2l)
+    m_prime, p, n_prime = triple
+    params = law_params(*triple)
+    l, a, b, d = params.l, params.t1, params.t1_reciprocal, n_prime - m_prime
+    mean = Fraction(p * m_prime, l * d)
+    rows = [
+        (lambda w: w * marginal_pdf(params, w), mean),
+        (lambda w: 1.0 - marginal_cdf(params, w), mean),
+        (lambda w: w / (1.0 + w) * marginal_pdf(params, w), Fraction(a + l, a + b + 2 * l)),
+    ]
+    if d >= 2:
+        second = Fraction(p * m_prime * (p * n_prime + d * m_prime + 1), l * d * (d * d - 1))
+        rows.append((lambda w: w * w * marginal_pdf(params, w), second))
+    for f, exact in rows:
+        assert quadrature_integrate(f, 1e-10) == pytest.approx(float(exact), rel=1e-11)
 
 
 def test_law_triple_is_validated_by_reduced_dims_alone():

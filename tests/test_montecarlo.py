@@ -3,6 +3,7 @@
 import json
 import os
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -388,6 +389,20 @@ def test_gsvd_moment_matches_quadrature():
     assert abs(alpha_sq.mean() - target) < 3.0 * se
 
 
+def test_q_power_variance_matches_the_inverse_wishart_value():
+    # Var tr G^-1 = p (p + d) / (d^2 (d^2 - 1)), p = min(m+q, n), d = |m+q-n|;
+    # the k-th moment is finite for d >= k, so at d = 6 the fourth moment
+    # behind the sample variance's standard error is finite
+    dims = ProblemDims(4, 5, 3)
+    p, d = min(dims.m + dims.q, dims.n), abs(dims.m + dims.q - dims.n)
+    exact = p * (p + d) / (d**2 * (d**2 - 1))
+    x = sample_q_power(dims, 100_000, RngStream(0)).values[:, 0]
+    n, dev = x.size, x - x.mean()
+    var = dev @ dev / (n - 1)
+    se = np.sqrt((np.mean(dev**4) - var**2 * (n - 3) / (n - 1)) / n)
+    assert abs(var - exact) <= 3.0 * se, (var, exact, se)
+
+
 # ------------------------------------------------------------ failure paths
 
 
@@ -663,6 +678,51 @@ def test_qpower_gates():
         run_experiment(Experiment.Q_POWER_MEAN, dims=ProblemDims(2, 2, 4))
     with pytest.raises(RegimeError, match=">= 3"):
         run_experiment(Experiment.Q_POWER_MEAN, dims=ProblemDims(2, 3, 4))
+
+
+def test_each_experiment_records_and_refuses_by_what_its_checks_read(monkeypatch):
+    # the experiments whose checks read (m', p, n') record it and refuse
+    # s = 0; the one with a mean check refuses a gap below MEAN_TEST_MIN_GAP;
+    # each refusal comes before the too-few-samples check and any draw
+    import gsvdist.montecarlo as mc
+
+    records = {"equivalence": ((2, 3, 2), True), "marginal": ((2, 3, 2), True),
+               "haar": ((2, 3, 4), False), "qpower": ((2, 2, 8), False)}
+    for experiment, (dims, reads_reduced) in records.items():
+        dims = ProblemDims(*dims)
+        want = {**asdict(dims), **(asdict(reduced_dims(dims)) if reads_reduced else {})}
+        report = run_experiment(experiment, dims=dims, samples=6)
+        assert list(report.to_dict()["dims"].items()) == list(want.items()), experiment
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    for name in ("sample_w_gsvd", "sample_w_fmatrix", "sample_alpha_haar", "sample_q_power"):
+        monkeypatch.setattr(mc, name, no_draw)
+    refusals = [
+        (experiment, (2, 3, 6), "dims (2, 3, 6) are deterministic (s = 0): no random spectrum")
+        for experiment in ("equivalence", "marginal")
+    ] + [
+        ("qpower", dims, f"mean test needs |m + q - n| >= 3, got {gap}: near m + q = n "
+         "the sampling variance makes a 3-sigma acceptance meaningless")
+        for dims, gap in (((2, 3, 4), 1), ((2, 3, 3), 2))
+    ]
+    for experiment, dims, message in refusals:
+        for samples in (200, 1):
+            with pytest.raises(RegimeError) as info:
+                run_experiment(experiment, dims=ProblemDims(*dims), samples=samples)
+            assert str(info.value) == message, (experiment, dims, samples)
+    # no check of qpower reads the reduced triple, so s = 0 alone is no refusal
+    with pytest.raises(AssertionError, match="drew"):
+        run_experiment("qpower", dims=ProblemDims(1, 1, 5), samples=200)
+
+
+def test_names_that_read_the_reduced_triple_are_sources_or_tests():
+    # a misspelt name would silently drop the s = 0 refusal and the record
+    import gsvdist.montecarlo as mc
+
+    assert mc._READS_REDUCED and mc._READS_REDUCED <= mc._SOURCES.keys() | mc._TESTS.keys()
+    assert "mean" in mc._TESTS
 
 
 def test_marginal_experiment_order_eight():
