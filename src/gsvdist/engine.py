@@ -43,8 +43,6 @@ ONE_TOL = 1e-8
 ZERO_TOL = 1e-8
 # relative floor below which a singular/eigen value is treated as lost rank
 RANK_TOL = 1e-12
-# explicit factor construction is reference scale only
-FACTORIZE_DIM_CAP = 32
 
 
 class Regime(Enum):
@@ -137,6 +135,17 @@ def _random_structure(dims: ProblemDims) -> GsvdStructure:
     st = compute_structure(dims)
     if st.s == 0:
         raise RegimeError(f"dims {dims.as_tuple()} are deterministic (s = 0): no random spectrum")
+    return st
+
+
+def _truncated_structure(dims: ProblemDims) -> GsvdStructure:
+    """The structure of ``dims``, refused with :class:`RegimeError` outside ``q < n < q + m``."""
+    st = compute_structure(dims)
+    if st.regime is not Regime.INTERMEDIATE:
+        raise RegimeError(
+            f"haar truncation sampling needs q < n < q + m, got {dims.as_tuple()} "
+            f"({st.regime.value})"
+        )
     return st
 
 
@@ -359,11 +368,6 @@ def gsvd_factorize(a, c) -> GsvdFactors:
     singular values), padded with zero columns beyond k.
     """
     dims, b = _pair_stack(a, c)
-    if max(dims.m, dims.q, dims.n) > FACTORIZE_DIM_CAP:
-        raise DimensionError(
-            f"explicit factorization is reference scale: dims must be "
-            f"<= {FACTORIZE_DIM_CAP}, got {dims.as_tuple()}"
-        )
     st = compute_structure(dims)
     m, q, n = dims.m, dims.q, dims.n
     k, r, s = st.k, st.r, st.s

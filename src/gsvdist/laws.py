@@ -181,18 +181,12 @@ def joint_pdf(params: LawParams, w) -> float:
     if w.size != params.l:
         raise DimensionError(f"expected {params.l} eigenvalues, got {w.size}")
     _check_positive(w)
-    log_value = (
-        params.log_m
-        + params.t1 * np.sum(np.log(w))
-        - params.t2 * np.sum(np.log1p(w))
-    )
-    for i in range(w.size):
-        for j in range(i + 1, w.size):
-            diff = abs(w[i] - w[j])
-            if diff == 0.0:
-                return 0.0
-            log_value += 2.0 * math.log(diff)
-    return float(np.exp(log_value))
+    # each pair's gap appears twice in the matrix, for the square; a tie's
+    # log gap is -inf, so the density there is exactly 0.0
+    with np.errstate(divide="ignore"):
+        log_gaps = np.sum(np.log(np.abs(w[:, None] - w) + np.eye(w.size)))
+    log_value = params.log_m + params.t1 * np.sum(np.log(w)) - params.t2 * np.sum(np.log1p(w))
+    return float(np.exp(log_value + log_gaps))
 
 
 @lru_cache(maxsize=64)
@@ -380,29 +374,27 @@ def _cdf_table(l: int, a: int, b: int) -> _CdfTable:
     # Family j is P^(a+j,b+j)_k, k < l-j, times factors f_jk chosen so that
     # f_{j+1,m-1} f_jm is the constant -sqrt(rho_{x,y} / (m (m+x+y+1))) of
     # term m of R_j: each term is then one product of two members
-    factors = [[1.0] * l]
+    factors, ladder = [1.0] * l, []
     for j in range(l - 1):
-        factors.append([
-            -math.sqrt(_rho(a + j, b + j) / ((k + 1) * (k + a + b + 2 * j + 2)))
-            / f for k, f in enumerate(factors[j][1:])
-        ])
-    ladder = []
-    for j in reversed(range(l - 1)):
         x, y, d = a + j, b + j, l - 1 - j
         ladder.append((
             1.0 / _rho(x + 1, y + 1),
             d / (x + y + 3),
             -d * (y + 1) / ((x + y + 2) * (x + y + 3)),
-            factors[j][0],
-            _steps(x, y, tuple(factors[j])),
+            factors[0],
+            _steps(x, y, tuple(factors)),
         ))
+        factors = [
+            -math.sqrt(_rho(x, y) / ((k + 1) * (k + x + y + 2))) / f
+            for k, f in enumerate(factors[1:])
+        ]
     return _CdfTable(
         power=(pu, pv),
         log_binom=log_binom,
         horner=tuple(zip_longest(*terms, fillvalue=0.0))[::-1],
         scale=(scale[0], -scale[1]),
-        top=factors[-1][0],
-        ladder=tuple(ladder),
+        top=factors[0],
+        ladder=tuple(ladder[::-1]),
     )
 
 

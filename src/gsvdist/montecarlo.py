@@ -34,7 +34,6 @@ import numpy as np
 from .engine import (
     ProblemDims,
     ReducedDims,
-    Regime,
     _classify,
     _power_gap,
     _random_structure,
@@ -42,7 +41,7 @@ from .engine import (
     _stack_power,
     _stack_ratio,
     _top_cosines,
-    compute_structure,
+    _truncated_structure,
     expected_q_power,
     reduced_dims,
 )
@@ -247,12 +246,7 @@ def sample_alpha_haar(
     ``haar_truncation_vs_gsvd`` checks the QR and the streams, not the
     phase step that makes the unitary Haar.
     """
-    st = compute_structure(dims)
-    if st.regime is not Regime.INTERMEDIATE:
-        raise RegimeError(
-            f"haar truncation sampling needs q < n < q + m, got {dims.as_tuple()} "
-            f"({st.regime.value})"
-        )
+    st = _truncated_structure(dims)
     if block not in ("upper_left", "lower_right"):
         raise ParameterError(f"unknown block {block!r}")
     m, q, n = dims.m, dims.q, dims.n
@@ -478,9 +472,11 @@ _TESTS = {
 # experiment -> its checks, (name, test, ((source, stream index), ...)) each.
 # The refusals and the record follow from the names the checks read: a
 # source or test in _READS_REDUCED reads (m', p, n'), so its experiment
-# refuses s = 0 and records the triple, and a "mean" check refuses
-# |m + q - n| < MEAN_TEST_MIN_GAP, both before any draw
+# refuses s = 0 and records the triple; the Haar truncation sources in
+# _TRUNCATED, "haar" and "haar_lower", refuse dims outside q < n < q + m;
+# and a "mean" check refuses |m + q - n| < MEAN_TEST_MIN_GAP
 _READS_REDUCED = {"fmatrix", "ks_one_sample"}
+_TRUNCATED = {"haar", "haar_lower"}
 _SAMPLING = {
     Experiment.EQUIVALENCE: (
         ("gsvd_vs_ratio_ensemble", "ks_two_sample", (("gsvd", 0), ("fmatrix", 1))),
@@ -497,55 +493,6 @@ _SAMPLING = {
 }
 
 
-def _sampling_checks(experiment, dims, samples, seed, workers, alpha_level):
-    if dims is None:
-        raise RegimeError(f"{experiment.value} experiment needs pair dimensions")
-    checks = _SAMPLING[experiment]
-    names = {test for _, test, _ in checks} | {src for *_, reads in checks for src, _ in reads}
-    rd = reduced_dims(dims)
-    record = asdict(dims)
-    if names & _READS_REDUCED:
-        _random_structure(dims)
-        record.update(asdict(rd))
-    if "mean" in names and (gap := _power_gap(dims)) < MEAN_TEST_MIN_GAP:
-        raise RegimeError(
-            f"mean test needs |m + q - n| >= {MEAN_TEST_MIN_GAP}, got {gap}: near "
-            "m + q = n the sampling variance makes a 3-sigma acceptance meaningless"
-        )
-    for name, test, _ in checks:
-        if _TESTS[test][1](samples, alpha_level):
-            raise ParameterError(f"samples = {samples} is too few: {name} could not reject")
-
-    batches = {
-        (src, i): _SOURCES[src](dims, rd, samples, RngStream(seed, i), workers)
-        for src, i in dict.fromkeys(key for _, _, reads in checks for key in reads)
-    }
-    reports = []
-    for name, test, reads in checks:
-        read = [batches[key] for key in reads]
-        report = _TESTS[test][0](read, dims, rd, alpha_level).to_dict()
-        discarded = sum(batch.failures for batch in read)
-        reports.append((name, {"kind": test, **report, "discarded": discarded}))
-    return record, reports
-
-
-def _normalization_checks(reduced):
-    if reduced is None:
-        raise RegimeError("normalization experiment needs reduced dimensions")
-    params = law_params(*reduced.as_tuple())
-    pdf = lambda w: marginal_pdf(params, w)  # noqa: E731
-    checks = []
-    # pdf * cdf is d(F^2 / 2)/dw, so it integrates to 1/2 for any continuous law
-    for name, f, target, tol in (
-        ("density_normalization", pdf, 1.0, 1e-6),
-        ("cdf_against_density", lambda w: pdf(w) * marginal_cdf(params, w), 0.5, 1e-8),
-    ):
-        value = quadrature_integrate(f, 1e-8)
-        check = {"kind": "quadrature", "value": value, "target": target, "tolerance": tol}
-        checks.append((name, {**check, "passed": bool(abs(value - target) <= tol)}))
-    return asdict(reduced), checks
-
-
 def run_experiment(
     experiment: Experiment | str,
     dims: ProblemDims | None = None,
@@ -559,13 +506,16 @@ def run_experiment(
 
     ``normalization`` needs the reduced triple; the others need the pair
     dimensions ``dims`` and draw each batch they test once, batch ``(source,
-    i)`` from ``RngStream(seed, i)``.  Every experiment, ``normalization``
-    included, refuses an ``alpha_level`` outside (0, 1), ``samples`` below
-    one and ``workers`` below one with :class:`ParameterError` before any
-    work.  A missing input, ``s = 0`` where the reduced triple is read, or
-    a mean test closer than ``MEAN_TEST_MIN_GAP`` to ``m + q = n`` raises
-    :class:`RegimeError` before any draw, and ``samples`` so few that some
-    check could not reject raises :class:`ParameterError` there.
+    i)`` from ``RngStream(seed, i)``.  Every refusal comes before any
+    quadrature or draw, in this order: an ``alpha_level`` outside (0, 1),
+    ``samples`` below one and ``workers`` below one raise
+    :class:`ParameterError`, for every experiment; a missing input raises
+    :class:`RegimeError`; then, as the checks of a sampling experiment
+    read them, ``s = 0`` where the reduced triple is read, dims outside
+    ``q < n < q + m`` where a Haar truncation is drawn, and a mean test
+    closer than ``MEAN_TEST_MIN_GAP`` to ``m + q = n`` raise
+    :class:`RegimeError`, and ``samples`` so few that some check could not
+    reject raises :class:`ParameterError`.
     The report is a pure function of the seed; ``workers`` sets threads
     only, and appears in the report's attributes but not in ``to_dict``.
     ``normalization`` reads no ``seed``, ``samples`` or ``alpha_level``:
@@ -576,19 +526,55 @@ def run_experiment(
     if samples < 1:
         raise ParameterError(f"samples = {samples} is too few: no check could reject")
     _check_workers(workers)
-    start = time.perf_counter()
-    if experiment.takes_reduced:
-        dims_record, checks = _normalization_checks(reduced)
-        seed = samples = alpha_level = None
-        notes = ()
-    else:
-        dims_record, checks = _sampling_checks(
-            experiment, dims, samples, seed, workers, alpha_level
+    triple = reduced if experiment.takes_reduced else dims
+    if triple is None:
+        kind = "reduced" if experiment.takes_reduced else "pair"
+        raise RegimeError(f"{experiment.value} experiment needs {kind} dimensions")
+    sampling = _SAMPLING.get(experiment, ())
+    names = {test for _, test, _ in sampling} | {src for *_, reads in sampling for src, _ in reads}
+    if names & _READS_REDUCED:
+        _random_structure(dims)
+    if names & _TRUNCATED:
+        _truncated_structure(dims)
+    if "mean" in names and (gap := _power_gap(dims)) < MEAN_TEST_MIN_GAP:
+        raise RegimeError(
+            f"mean test needs |m + q - n| >= {MEAN_TEST_MIN_GAP}, got {gap}: near "
+            "m + q = n the sampling variance makes a 3-sigma acceptance meaningless"
         )
-        notes = (_CALIBRATION_NOTE,)
+    for name, test, _ in sampling:
+        if _TESTS[test][1](samples, alpha_level):
+            raise ParameterError(f"samples = {samples} is too few: {name} could not reject")
+
+    start = time.perf_counter()
+    record, checks = asdict(triple), []
+    if experiment.takes_reduced:
+        params = law_params(*reduced.as_tuple())
+        pdf = lambda w: marginal_pdf(params, w)  # noqa: E731
+        # pdf * cdf is d(F^2 / 2)/dw, so it integrates to 1/2 for any continuous law
+        for name, f, target, tol in (
+            ("density_normalization", pdf, 1.0, 1e-6),
+            ("cdf_against_density", lambda w: pdf(w) * marginal_cdf(params, w), 0.5, 1e-8),
+        ):
+            value = quadrature_integrate(f, 1e-8)
+            check = {"kind": "quadrature", "value": value, "target": target, "tolerance": tol}
+            checks.append((name, {**check, "passed": bool(abs(value - target) <= tol)}))
+        seed = samples = alpha_level = None
+    else:
+        rd = reduced_dims(dims)
+        if names & _READS_REDUCED:
+            record.update(asdict(rd))
+        batches = {
+            (src, i): _SOURCES[src](dims, rd, samples, RngStream(seed, i), workers)
+            for src, i in dict.fromkeys(key for _, _, reads in sampling for key in reads)
+        }
+        for name, test, reads in sampling:
+            read = [batches[key] for key in reads]
+            report = _TESTS[test][0](read, dims, rd, alpha_level).to_dict()
+            discarded = sum(batch.failures for batch in read)
+            checks.append((name, {"kind": test, **report, "discarded": discarded}))
     return VerificationReport(
         experiment=experiment.value,
-        dims=dims_record,
+        dims=record,
         seed=seed,
         workers=workers,
         samples=samples,
@@ -596,5 +582,5 @@ def run_experiment(
         checks=tuple(checks),
         passed=all(report["passed"] for _, report in checks),
         elapsed_seconds=time.perf_counter() - start,
-        notes=notes,
+        notes=() if experiment.takes_reduced else (_CALIBRATION_NOTE,),
     )

@@ -246,14 +246,20 @@ def test_verify_equivalence_passes(capsys):
 
 
 def test_verify_regime_mismatch_exit_code(capsys):
-    code, _ = _run(
-        capsys, ["verify", "qpower", "--m", "2", "--q", "2", "--n", "4"]
-    )
-    assert code == 2
-    code, _ = _run(
-        capsys, ["verify", "equivalence", "--m", "2", "--q", "3", "--n", "6"]
-    )
-    assert code == 2
+    # each regime refusal comes first: haar at (2, 3, 2) is outside its
+    # regime before 2 samples are too few
+    for argv, message in (
+        (["qpower", "--m", "2", "--q", "2", "--n", "4"],
+         "the right-factor power's mean is undefined at m + q = n (= 4)"),
+        (["equivalence", "--m", "2", "--q", "3", "--n", "6"],
+         "dims (2, 3, 6) are deterministic (s = 0): no random spectrum"),
+        (["haar", "--m", "2", "--q", "3", "--n", "2", "--samples", "2"],
+         "haar truncation sampling needs q < n < q + m, got (2, 3, 2) (tall_c)"),
+    ):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.splitlines() == [f"error: {message}"], argv
 
 
 @pytest.mark.parametrize(

@@ -682,8 +682,10 @@ def test_qpower_gates():
 
 def test_each_experiment_records_and_refuses_by_what_its_checks_read(monkeypatch):
     # the experiments whose checks read (m', p, n') record it and refuse
-    # s = 0; the one with a mean check refuses a gap below MEAN_TEST_MIN_GAP;
-    # each refusal comes before the too-few-samples check and any draw
+    # s = 0; the one that draws Haar truncations refuses dims outside
+    # q < n < q + m; the one with a mean check refuses a gap below
+    # MEAN_TEST_MIN_GAP; each refusal comes before the too-few-samples check
+    # and any draw
     import gsvdist.montecarlo as mc
 
     records = {"equivalence": ((2, 3, 2), True), "marginal": ((2, 3, 2), True),
@@ -706,11 +708,15 @@ def test_each_experiment_records_and_refuses_by_what_its_checks_read(monkeypatch
         ("qpower", dims, f"mean test needs |m + q - n| >= 3, got {gap}: near m + q = n "
          "the sampling variance makes a 3-sigma acceptance meaningless")
         for dims, gap in (((2, 3, 4), 1), ((2, 3, 3), 2))
+    ] + [
+        ("haar", dims, f"haar truncation sampling needs q < n < q + m, got {dims} ({regime})")
+        for dims, regime in (((2, 3, 6), "deterministic"), ((2, 3, 2), "tall_c"))
     ]
     for experiment, dims, message in refusals:
         for samples in (200, 1):
             with pytest.raises(RegimeError) as info:
                 run_experiment(experiment, dims=ProblemDims(*dims), samples=samples)
+            assert type(info.value) is RegimeError, (experiment, dims, samples)
             assert str(info.value) == message, (experiment, dims, samples)
     # no check of qpower reads the reduced triple, so s = 0 alone is no refusal
     with pytest.raises(AssertionError, match="drew"):
@@ -718,10 +724,12 @@ def test_each_experiment_records_and_refuses_by_what_its_checks_read(monkeypatch
 
 
 def test_names_that_read_the_reduced_triple_are_sources_or_tests():
-    # a misspelt name would silently drop the s = 0 refusal and the record
+    # a misspelt name would silently drop the s = 0 refusal and the record,
+    # or the truncation-regime refusal
     import gsvdist.montecarlo as mc
 
     assert mc._READS_REDUCED and mc._READS_REDUCED <= mc._SOURCES.keys() | mc._TESTS.keys()
+    assert mc._TRUNCATED and mc._TRUNCATED <= mc._SOURCES.keys()
     assert "mean" in mc._TESTS
 
 
