@@ -160,15 +160,15 @@ def _power_gap(dims: ProblemDims) -> int:
 def reduced_dims(dims: ProblemDims) -> ReducedDims | None:
     """Map (m, q, n) to the ratio-ensemble dimensions (m', p, n').
 
-    Returns ``None`` in the DETERMINISTIC regime (``n >= q + m``), where
-    ``s = 0`` and the sigma factors carry no random block.
+    One formula: ``(min(q, n), m + min(q, n) - n, max(q, n))``, which is
+    ``(n, m, q)`` when ``q >= n`` and ``(q, s, n)`` when ``q < n < q + m``.
+    The law there is the Jacobi ensemble with ``l = s``, ``a = |n - m|`` and
+    ``b = |q - n|``.  Returns ``None`` when ``p <= 0``, which holds exactly
+    in the DETERMINISTIC regime (``n >= q + m``), where ``s = 0`` and the
+    sigma factors carry no random block.
     """
-    st = compute_structure(dims)
-    if st.regime is Regime.TALL_C:
-        return ReducedDims(dims.n, dims.m, dims.q)
-    if st.regime is Regime.INTERMEDIATE:
-        return ReducedDims(dims.q, st.s, dims.n)
-    return None
+    p = dims.m + min(dims.q, dims.n) - dims.n
+    return ReducedDims(min(dims.q, dims.n), p, max(dims.q, dims.n)) if p > 0 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,16 +289,17 @@ def _stack_cholesky(gram: np.ndarray):
     return chol, ok & (pivots.min(axis=-1) ** 2 > RANK_TOL * pivots.max(axis=-1) ** 2)
 
 
-def _stack_ratio(x: np.ndarray, y: np.ndarray, l: int):
-    """The ``l`` largest eigenvalues of ``x^H (y y^H)^{-1} x``, descending.
+def _stack_ratio(x: np.ndarray, y: np.ndarray):
+    """The ``min(d, p)`` nonzero eigenvalues of ``x^H (y y^H)^{-1} x``, descending.
 
-    ``x`` is (count, d, p) and ``y`` (count, d, n').  The matrix is ``z^H z``
+    ``x`` is (count, d, p) and ``y`` (count, d, n'); the count is the rank
+    of ``x``, read from its shape.  The matrix is ``z^H z``
     with ``z = L^{-1} x`` and ``L L^H = y y^H``, Hermitian by construction;
     the mask adds finite, positive values to the Cholesky rank test.
     """
     chol, ok = _stack_cholesky(y @ y.conj().transpose(0, 2, 1))
     z = np.linalg.solve(chol, x)
-    w = np.linalg.eigvalsh(z.conj().transpose(0, 2, 1) @ z)[:, ::-1][:, :l]
+    w = np.linalg.eigvalsh(z.conj().transpose(0, 2, 1) @ z)[:, ::-1][:, : min(x.shape[1:])]
     return w, ok & np.all(w > 0.0, axis=1) & np.all(np.isfinite(w), axis=1)
 
 
@@ -340,17 +341,17 @@ def gsvd_spectrum_direct(a, c) -> GsvdSpectrum:
 
     Only valid when ``q >= n``: the w values are the s largest eigenvalues
     of ``a (c^H c)^{-1} a^H``, the F-matrix sampler's ratio kernel at ``x =
-    a^H``, ``y = c^H``.  Kept apart from the QR-then-CS path so the two can
+    a^H``, ``y = c^H``, whose count ``min(d, p) = min(n, m)`` is that s.
+    Kept apart from the QR-then-CS path so the two can
     cross-check each other; a ``c^H c`` failing the rank test raises.
     """
     dims, b = _pair_stack(a, c)
-    st = compute_structure(dims)
-    if st.regime is not Regime.TALL_C:
+    if dims.q < dims.n:
         raise RegimeError(
             f"gram-inverse route needs q >= n, got q = {dims.q}, n = {dims.n}"
         )
     bh = b.conj().T[None]
-    w, ok = _stack_ratio(bh[:, :, : dims.m], bh[:, :, dims.m :], st.s)
+    w, ok = _stack_ratio(bh[:, :, : dims.m], bh[:, :, dims.m :])
     if not ok[0]:
         raise SingularityError("c^H c fails the rank test, or some w <= 0")
     return GsvdSpectrum(np.sqrt(w[0] / (1.0 + w[0])))

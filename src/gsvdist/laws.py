@@ -439,13 +439,11 @@ def _closed_cdf(table: _CdfTable, w: np.ndarray) -> np.ndarray:
     lead -= (pu + pv - 1 - power) * np.log1p(rho)
     lead += pick(table.log_binom)
     lead = np.exp(lead)
-    rows = iter(table.horner)
-    tail = pick(next(rows))
-    if len(table.horner) > 1:
-        z = rho * np.where(above, split, 1.0 / split)
-        for pair in rows:
-            tail *= z
-            tail += pick(pair)
+    z = rho * np.where(above, split, 1.0 / split)
+    tail = pick(table.horner[0])
+    for pair in table.horner[1:]:
+        tail *= z
+        tail += pick(pair)
     vu = 1.0 + rho
     vu = 1.0 / vu  # v below the split, u above it
     if table.ladder:

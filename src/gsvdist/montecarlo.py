@@ -216,7 +216,7 @@ def sample_w_fmatrix(
     def draw(gen, want):
         x = sample_ginibre(mp, p, gen, count=want)
         y = sample_ginibre(mp, npr, gen, count=want)
-        return _stack_ratio(x, y, rdims.l)
+        return _stack_ratio(x, y)
 
     return _run_batch(SamplerId.F_MATRIX, rdims.as_tuple(), draw, count, rng, workers)
 

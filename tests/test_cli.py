@@ -145,6 +145,12 @@ def test_grid_validation(capsys, monkeypatch):
             captured = capsys.readouterr()
             assert code == 2 and captured.out == "", (command, grid)
             assert captured.err.startswith("error: grid"), (command, grid)
+    # a single-point grid whose min and max differ
+    for command in ("pdf", "cdf"):
+        code = main([command, "--mp", "2", "--p", "2", "--np", "3", "--grid", "1", "2", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", command
+        assert captured.err == "error: a single-point grid needs min == max\n", command
 
 
 # ------------------------------------------------------------------- sample

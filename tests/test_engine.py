@@ -69,6 +69,10 @@ def test_structure_exhaustive_scan():
                 else:
                     assert rd.m_prime <= rd.n_prime
                     assert min(rd.p, rd.m_prime) == st_.s
+                    assert rd.as_tuple() == ((n, m, q) if q >= n else (q, st_.s, n))
+                    # the law's exponents: Jacobi with l = s, a = |n - m|, b = |q - n|
+                    assert abs(rd.m_prime - rd.p) == abs(n - m)
+                    assert rd.n_prime - rd.m_prime == abs(q - n)
 
 
 @given(
@@ -241,7 +245,7 @@ def test_ratio_kernel_masks_only_the_zero_y_row():
     x = sample_ginibre(3, 2, gen, count=4)
     y = sample_ginibre(3, 4, gen, count=4)
     y[1] = 0.0
-    w, ok = _stack_ratio(x, y, 2)
+    w, ok = _stack_ratio(x, y)
     assert w.shape == (4, 2)
     np.testing.assert_array_equal(ok, [True, False, True, True])
 
@@ -280,6 +284,12 @@ def test_spectrum_rejects_cosine_in_zero_dead_zone():
 def test_spectrum_rejects_column_mismatch():
     with pytest.raises(DimensionError):
         gsvd_spectrum(np.eye(2), np.eye(3))
+    # a 1-d a, and an a that holds NaN
+    for a, message in ((np.ones(3), "expected a 2-d matrix, got shape (3,)"),
+                       (np.array([[np.nan, 1.0]]), "matrix contains non-finite entries")):
+        with pytest.raises(DimensionError) as info:
+            gsvd_spectrum(a, np.eye(a.shape[-1]))
+        assert type(info.value) is DimensionError and str(info.value) == message
 
 
 def test_pencil_characterization():

@@ -53,6 +53,12 @@ def test_ginibre_rejects_zero_dims():
         sample_ginibre(0, 3, RngStream(1))
     with pytest.raises(DimensionError):
         sample_ginibre(3, 0, RngStream(1))
+    with pytest.raises(DimensionError) as info:
+        sample_ginibre(3, 3, RngStream(1), count=0)
+    assert type(info.value) is DimensionError and str(info.value) == "count must be >= 1, got 0"
+    with pytest.raises(TypeError) as info:
+        sample_ginibre(3, 3, "1")
+    assert str(info.value) == "expected RngStream or numpy Generator, got str"
 
 
 def test_haar_dim_one_unit_modulus():

@@ -10,6 +10,7 @@ import pytest
 
 from gsvdist import (
     Experiment,
+    GsvdSpectrum,
     ProblemDims,
     ReducedDims,
     RngStream,
@@ -483,11 +484,19 @@ def test_run_batch_aborts_when_chunks_within_budget_sum_over_it(workers):
          "mean test needs at least two values"),
         (lambda: gsvd_factorize(np.zeros((1, 3)), sample_ginibre(2, 3, RngStream(0))),
          DecompositionError, "stacked pair is rank deficient"),
+        (lambda: ProblemDims(0, 1, 1), DimensionError,
+         "dimensions must be >= 1, got ProblemDims(m=0, q=1, n=1)"),
+        (lambda: GsvdSpectrum(np.full((1, 1), 0.5)), DimensionError, "alphas must be a 1-d array"),
+        (lambda: GsvdSpectrum(np.array([0.2, 0.5])), DegeneracyError,
+         "alphas must lie in (0,1), descending"),
+        (lambda: GsvdSpectrum(np.array([1.0])), DegeneracyError,
+         "alphas must lie in (0,1), descending"),
     ],
 )
 def test_library_refusals(call, error, message):
-    # refusals that the CLI never reaches: a missing input, one value for a
-    # mean test, a rank-deficient stack
+    # refusals that no CLI test reaches: a missing input, one value for a
+    # mean test, a rank-deficient stack, a dimension below 1, and alphas
+    # that are not 1-d or not descending inside (0, 1)
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message

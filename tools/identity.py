@@ -22,15 +22,31 @@ It prints three SHA-256 digests, one a line:
 
 Each digest runs over its pieces in that order.  ``--rows`` also prints the
 refusal lines, so that a diff of two outputs names the rows that changed.
+
+``--against REV`` compares with a git revision in one run:
+
+    PYTHONPATH=src python tools/identity.py --against HEAD~1 [--rows]
+
+It extracts ``src/`` at REV (``git archive``, read through ``tarfile``) into
+a temporary directory and runs this script there, with that package on
+``PYTHONPATH`` and bytecode writes off.  It then prints each digest's
+name, its value at REV, its value here, and ``same`` or ``differs``.  With
+``--rows`` it also prints a unified diff of the refusal rows, REV first.
+Nothing is written under the repository or ``.git``.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
+import io
 import json
 import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -38,9 +54,9 @@ import numpy as np
 import gsvdist as g
 from gsvdist.errors import GsvdistError
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the verify plan and the law sweep are the benchmark's, stated once there
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from families import VERIFY_PLAN, law_triples  # noqa: E402
 
 EXTRA_TRIPLES = ((40, 40, 60), (150, 150, 150), (400, 3, 900), (10, 10, 1500), (1, 1, 10**6),
@@ -99,16 +115,46 @@ def refusal_rows() -> list[str]:
     return rows
 
 
+def _run(command: list[str], **kwargs) -> bytes:
+    """Stdout of ``command``; exits with its stderr when it fails."""
+    done = subprocess.run(command, capture_output=True, **kwargs)
+    if done.returncode:
+        sys.exit(f"{' '.join(command)} failed:\n{done.stderr.decode(errors='replace')}")
+    return done.stdout
+
+
+def output_at(rev: str) -> list[str]:
+    """This script's ``--rows`` output lines with ``src/`` taken from git revision ``rev``."""
+    archive = _run(["git", "archive", rev, "src"], cwd=ROOT)
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        env = {**os.environ, "PYTHONPATH": os.path.join(tmp, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        child = [sys.executable, os.path.abspath(__file__), "--rows"]
+        return _run(child, env=env).decode().splitlines()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", action="store_true", help="also print the refusal rows")
+    parser.add_argument("--against", metavar="REV",
+                        help="also run the digests with src/ at git revision REV and compare")
     args = parser.parse_args()
     rows = refusal_rows()
-    print("reports", reports_digest())
-    print("laws", laws_digest())
-    print("refusals", hashlib.sha256("".join(row + "\n" for row in rows).encode()).hexdigest())
+    refusals = hashlib.sha256("".join(row + "\n" for row in rows).encode()).hexdigest()
+    digests = [f"reports {reports_digest()}", f"laws {laws_digest()}", f"refusals {refusals}"]
+    if args.against is None:
+        print("\n".join(digests + rows if args.rows else digests))
+        return
+    other = output_at(args.against)
+    for line, then in zip(digests, other):
+        name, value = line.split()
+        before = then.split()[1]
+        print(name, before, value, "same" if before == value else "differs")
     if args.rows:
-        print("\n".join(rows))
+        diff = difflib.unified_diff(other[len(digests):], rows, args.against, "working tree",
+                                    lineterm="")
+        sys.stdout.writelines(line + "\n" for line in diff)
 
 
 if __name__ == "__main__":
