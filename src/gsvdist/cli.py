@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         add_reduced(p, required=False)
         p.add_argument("--samples", type=int, default=20000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                       help="threads (default: the core count); the data does not depend on it")
 
     p_dims = sub.add_parser("dims", help="structural parameters of a pair")
     add_pair(p_dims, required=True)

@@ -172,18 +172,20 @@ def test_sample_gsvd_rows_and_determinism(capsys):
 
 
 def test_sample_json_data_ignores_workers(capsys):
-    # three chunks of draws: the data is byte-identical for any worker count
+    # three chunks of draws: the data is byte-identical for any worker count,
+    # the default (None: no flag, one thread per core) included
     dumps = []
-    for workers in (1, 2, 3, 64):
+    for workers in (1, 2, 3, 64, None):
+        flag = [] if workers is None else ["--workers", str(workers)]
         code, out = _run(
             capsys,
             ["sample", "--sampler", "gsvd", "--m", "2", "--q", "3", "--n", "4",
-             "--samples", str(2 * CHUNK + 5), "--seed", "2", "--workers", str(workers),
-             "--format", "json"],
+             "--samples", str(2 * CHUNK + 5), "--seed", "2", *flag, "--format", "json"],
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["meta"]["workers"] == workers and "workers" not in payload["data"]
+        assert payload["meta"]["workers"] == (workers or os.cpu_count() or 1)
+        assert "workers" not in payload["data"]
         dumps.append(json.dumps(payload["data"], sort_keys=True))
     assert len(set(dumps)) == 1
 

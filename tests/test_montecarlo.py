@@ -636,7 +636,9 @@ def test_mean_report_refuses_a_degenerate_sample(values, message):
 # ------------------------------------------------------------- experiments
 
 
-@pytest.mark.parametrize("dims", [(2, 3, 2), (4, 5, 3), (2, 3, 4), (3, 4, 5), (3, 4, 6)])
+# (4, 5, 3) and (3, 4, 5) at these sizes and seed are criteria 4 and 5 of
+# tests/test_acceptance.py, which run them once
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 3, 4), (3, 4, 6)])
 def test_equivalence_grid(dims):
     report = run_experiment(
         Experiment.EQUIVALENCE, dims=ProblemDims(*dims), samples=20_000, seed=0
@@ -644,7 +646,8 @@ def test_equivalence_grid(dims):
     assert report.passed, report.to_dict()
 
 
-@pytest.mark.parametrize("dims", [(2, 3, 2), (4, 5, 3), (2, 3, 4), (3, 4, 5), (3, 4, 6)])
+# (2, 3, 2) draws the ratio-ensemble batch of criterion 7's marginal run
+@pytest.mark.parametrize("dims", [(4, 5, 3), (2, 3, 4), (3, 4, 5), (3, 4, 6)])
 def test_closed_form_marginal_grid(dims):
     # every reduced triple in the grid has l <= 3
     rd = reduced_dims(ProblemDims(*dims))
@@ -653,7 +656,8 @@ def test_closed_form_marginal_grid(dims):
     assert ks_one_sample(batch, law_params(*rd.as_tuple()), 0.01).passed
 
 
-@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 4, 5)])
+# (2, 3, 4) at this size and seed is criterion 6, which also checks the names
+@pytest.mark.parametrize("dims", [(3, 4, 5)])
 def test_haar_chain_experiment(dims):
     report = run_experiment(
         Experiment.HAAR_CHAIN, dims=ProblemDims(*dims), samples=20_000, seed=0
@@ -674,7 +678,8 @@ def test_alpha_sq_to_w_conversion():
     assert conv.seed == batch.seed and conv.stream_index == batch.stream_index
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 8), (3, 3, 2), (2, 3, 9)])
+# (2, 2, 8) and (3, 3, 2) at this size and seed are criterion 8
+@pytest.mark.parametrize("dims", [(2, 3, 9)])
 def test_qpower_experiment_grid(dims):
     report = run_experiment(
         Experiment.Q_POWER_MEAN, dims=ProblemDims(*dims), samples=100_000, seed=0

@@ -4,7 +4,7 @@ Run from the repository root on two commits and compare the output:
 
     PYTHONPATH=src python tools/identity.py [--rows]
 
-It prints three SHA-256 digests, one a line:
+It prints four SHA-256 digests, one a line:
 
 * ``reports``: the UTF-8 of ``json.dumps(report.to_dict(), sort_keys=True)``
   for each report of the benchmark's verify plan (``perfbench/families.py``
@@ -14,6 +14,10 @@ It prints three SHA-256 digests, one a line:
   then, for the pdf, the CDF and the reciprocal pdf, the ``tobytes()`` of
   their values on ``geomspace(1e-3, 1e3, 200)`` and the ``repr`` of the
   value at 1.0; for the CDF also the ``repr`` of its values at ``CDF_EDGES``.
+* ``runs``: the ``tobytes()`` of the pdf, the CDF and the reciprocal pdf on
+  ``geomspace(1e-3, 1e3, 200_003)`` at the benchmark's ``BIG_TRIPLES[False]``,
+  grids that the evaluators split into many runs, a short last one included;
+  then of the CDF on ``geomspace(1e-2, 1e2, 2003)`` at ``RUN_TRIPLES``.
 * ``refusals``: one line per call of ``run_experiment`` over every
   experiment, ``REFUSAL_DIMS`` (the triple goes in as ``reduced`` for
   ``normalization`` and as ``dims`` otherwise; ``None`` leaves it out),
@@ -57,11 +61,12 @@ from gsvdist.errors import GsvdistError
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the verify plan and the law sweep are the benchmark's, stated once there
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from families import VERIFY_PLAN, law_triples  # noqa: E402
+from families import BIG_TRIPLES, VERIFY_PLAN, law_triples  # noqa: E402
 
 EXTRA_TRIPLES = ((40, 40, 60), (150, 150, 150), (400, 3, 900), (10, 10, 1500), (1, 1, 10**6),
                  (50, 2, 120))
 CDF_EDGES = (0.0, -0.0, np.inf, 1e-310)
+RUN_TRIPLES = ((40, 40, 60), (150, 150, 150))
 REFUSAL_DIMS = ((2, 3, 6), (2, 3, 4), (2, 3, 3), (2, 2, 4), (1, 1, 5), (2, 3, 2), None)
 
 
@@ -92,6 +97,19 @@ def laws_digest() -> str:
             if law is g.marginal_cdf:
                 for w in CDF_EDGES:
                     digest.update(repr(law(params, w)).encode())
+    return digest.hexdigest()
+
+
+def runs_digest() -> str:
+    digest = hashlib.sha256()
+    grid = np.geomspace(1e-3, 1e3, 200_003)
+    for triple in BIG_TRIPLES[False]:
+        params = g.law_params(*triple)
+        for law in (g.marginal_pdf, g.marginal_cdf, g.marginal_pdf_reciprocal):
+            digest.update(law(params, grid).tobytes())
+    grid = np.geomspace(1e-2, 1e2, 2003)
+    for triple in RUN_TRIPLES:
+        digest.update(g.marginal_cdf(g.law_params(*triple), grid).tobytes())
     return digest.hexdigest()
 
 
@@ -142,7 +160,8 @@ def main() -> None:
     args = parser.parse_args()
     rows = refusal_rows()
     refusals = hashlib.sha256("".join(row + "\n" for row in rows).encode()).hexdigest()
-    digests = [f"reports {reports_digest()}", f"laws {laws_digest()}", f"refusals {refusals}"]
+    digests = [f"reports {reports_digest()}", f"laws {laws_digest()}", f"runs {runs_digest()}",
+               f"refusals {refusals}"]
     if args.against is None:
         print("\n".join(digests + rows if args.rows else digests))
         return
