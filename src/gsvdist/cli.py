@@ -105,16 +105,19 @@ def _write(args, meta: dict, data, rows) -> None:
         raise GsvdistError(f"cannot write {target}: {exc.strerror}") from exc
 
 
-def _pair_dims(args, what: str) -> ProblemDims:
-    if args.m is None or args.q is None or args.n is None:
-        raise GsvdistError(f"{what} needs --m/--q/--n")
-    return ProblemDims(m=args.m, q=args.q, n=args.n)
+# each dimension record's flags, in its field order, with their --help text
+_DIM_FLAGS = {
+    ProblemDims: dict.fromkeys(("m", "q", "n")),
+    ReducedDims: {"mp": "rows m'", "p": "numerator columns p", "np": "denominator columns n'"},
+}
 
 
-def _reduced(args, what: str) -> ReducedDims:
-    if args.mp is None or args.p is None or args.np is None:
-        raise GsvdistError(f"{what} needs --mp/--p/--np")
-    return ReducedDims(m_prime=args.mp, p=args.p, n_prime=args.np)
+def _dims(args, record, what: str):
+    """The ``record`` (ProblemDims or ReducedDims) that its flags give."""
+    values = [getattr(args, flag) for flag in _DIM_FLAGS[record]]
+    if None in values:
+        raise GsvdistError(f"{what} needs " + "/".join(f"--{flag}" for flag in _DIM_FLAGS[record]))
+    return record(*values)
 
 
 def _grid(args) -> np.ndarray:
@@ -136,7 +139,7 @@ def _grid(args) -> np.ndarray:
 
 
 def cmd_dims(args) -> int:
-    dims = _pair_dims(args, "dims")
+    dims = _dims(args, ProblemDims, "dims")
     st = compute_structure(dims)
     rd = reduced_dims(dims)
     try:
@@ -165,20 +168,20 @@ def _law_table(args, law) -> int:
     return 0
 
 
-# sampler -> (dimensions parser, draw); the lambdas look the sampler up at
+# sampler -> (dimension record, draw); the lambdas look the sampler up at
 # call time, so a wrapper bound to its module name sees the call
 _SAMPLERS = {
-    SamplerId.GSVD: (_pair_dims, lambda *run: sample_w_gsvd(*run)),
-    SamplerId.F_MATRIX: (_reduced, lambda *run: sample_w_fmatrix(*run)),
-    SamplerId.HAAR_BLOCK: (_pair_dims, lambda *run: sample_alpha_haar(*run)),
-    SamplerId.Q_POWER: (_pair_dims, lambda *run: sample_q_power(*run)),
+    SamplerId.GSVD: (ProblemDims, lambda *run: sample_w_gsvd(*run)),
+    SamplerId.F_MATRIX: (ReducedDims, lambda *run: sample_w_fmatrix(*run)),
+    SamplerId.HAAR_BLOCK: (ProblemDims, lambda *run: sample_alpha_haar(*run)),
+    SamplerId.Q_POWER: (ProblemDims, lambda *run: sample_q_power(*run)),
 }
 
 
 def cmd_sample(args) -> int:
     sampler = SamplerId(args.sampler)
-    parse, draw = _SAMPLERS[sampler]
-    dims = parse(args, f"sampler {sampler.value}")
+    record, draw = _SAMPLERS[sampler]
+    dims = _dims(args, record, f"sampler {sampler.value}")
     batch = draw(dims, args.samples, RngStream(args.seed), args.workers)
     values = batch.values.tolist()
     data = {
@@ -207,11 +210,12 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     experiment = Experiment(args.experiment)
-    what = f"verify {experiment.value}"
+    record = ReducedDims if experiment.takes_reduced else ProblemDims
+    triple = _dims(args, record, f"verify {experiment.value}")
     report = run_experiment(
         experiment,
-        dims=None if experiment.takes_reduced else _pair_dims(args, what),
-        reduced=_reduced(args, what) if experiment.takes_reduced else None,
+        dims=None if experiment.takes_reduced else triple,
+        reduced=triple if experiment.takes_reduced else None,
         samples=args.samples,
         seed=args.seed,
         workers=args.workers,
@@ -251,26 +255,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default=fmt_default)
         p.add_argument("--out", default=None, help="write to a file instead of stdout")
 
-    def add_pair(p, required):
-        p.add_argument("--m", type=int, required=required)
-        p.add_argument("--q", type=int, required=required)
-        p.add_argument("--n", type=int, required=required)
-
-    def add_reduced(p, required):
-        p.add_argument("--mp", type=int, required=required, help="rows m'")
-        p.add_argument("--p", type=int, required=required, help="numerator columns p")
-        p.add_argument("--np", type=int, required=required, help="denominator columns n'")
+    def add_dims(p, record, required):
+        for flag, help_text in _DIM_FLAGS[record].items():
+            p.add_argument(f"--{flag}", type=int, required=required, help=help_text)
 
     def add_run(p):
-        add_pair(p, required=False)
-        add_reduced(p, required=False)
+        add_dims(p, ProblemDims, required=False)
+        add_dims(p, ReducedDims, required=False)
         p.add_argument("--samples", type=int, default=20000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                        help="threads (default: the core count); the data does not depend on it")
 
     p_dims = sub.add_parser("dims", help="structural parameters of a pair")
-    add_pair(p_dims, required=True)
+    add_dims(p_dims, ProblemDims, required=True)
     add_common(p_dims, "json")
     p_dims.set_defaults(func=cmd_dims)
 
@@ -281,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("cdf", marginal_cdf, "tabulate the marginal distribution function"),
     ):
         p = sub.add_parser(name, help=help_text)
-        add_reduced(p, required=True)
+        add_dims(p, ReducedDims, required=True)
         p.add_argument(
             "--grid",
             nargs=3,

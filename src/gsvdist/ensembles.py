@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 
-_U64 = (1 << 64) - 1
 _SUBSTREAM_TAG = 1 << 62
 _SUBSTREAM_CAP = 1 << 31
 
@@ -36,11 +35,16 @@ class RngStream:
     The pair ``(master_seed, stream_index)`` keys a counter-based Philox
     generator, so distinct indices are statistically independent by
     construction and an identical pair always replays the identical
-    sequence.
+    sequence.  Both are non-negative integers; a negative one raises
+    :class:`ParameterError`, so distinct pairs never share a stream.
     """
 
     master_seed: int
     stream_index: int = 0
+
+    def __post_init__(self):
+        if min(self.master_seed, self.stream_index) < 0:
+            raise ParameterError(f"seed and stream index must be >= 0, got {self}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream.
@@ -48,9 +52,7 @@ class RngStream:
         The (seed, index) pair is hash-mixed through a SeedSequence into the
         Philox key, so even adjacent indices get unrelated keys.
         """
-        seq = np.random.SeedSequence(
-            self.master_seed & _U64, spawn_key=(self.stream_index & _U64,)
-        )
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.Philox(key=seq.generate_state(2, np.uint64)))
 
     def substream(self, index: int) -> "RngStream":
@@ -62,7 +64,7 @@ class RngStream:
         """
         if self.stream_index >= _SUBSTREAM_TAG:
             raise ParameterError("substreams cannot be subdivided further")
-        if not 0 <= self.stream_index < _SUBSTREAM_CAP:
+        if self.stream_index >= _SUBSTREAM_CAP:
             raise ParameterError(f"stream index too large to subdivide: {self.stream_index}")
         if not 0 <= index < _SUBSTREAM_CAP:
             raise ParameterError(f"substream index out of range: {index}")

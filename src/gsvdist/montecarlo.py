@@ -514,8 +514,9 @@ def run_experiment(
     read them, ``s = 0`` where the reduced triple is read, dims outside
     ``q < n < q + m`` where a Haar truncation is drawn, and a mean test
     closer than ``MEAN_TEST_MIN_GAP`` to ``m + q = n`` raise
-    :class:`RegimeError`, and ``samples`` so few that some check could not
-    reject raises :class:`ParameterError`.
+    :class:`RegimeError`, ``samples`` so few that some check could not
+    reject raises :class:`ParameterError`, and last a sampling experiment's
+    negative ``seed`` raises :class:`ParameterError` from :class:`RngStream`.
     The report is a pure function of the seed; ``workers`` sets threads
     only, and appears in the report's attributes but not in ``to_dict``.
     ``normalization`` reads no ``seed``, ``samples`` or ``alpha_level``:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,15 @@ def test_sample_csv_json_identical_values(capsys, sampler, dims):
         assert float(row["value"]) == data["values"][int(row["draw"])][int(row["index"])]
 
 
+def test_sample_negative_seed_exits_2(capsys):
+    code = main(["sample", "--sampler", "gsvd", "--m", "2", "--q", "3", "--n", "2", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: seed and stream index must be >= 0, got RngStream(master_seed=-1, stream_index=0)"
+    ]
+
+
 def test_sample_haar_wrong_regime(capsys):
     code, _ = _run(
         capsys,
@@ -327,29 +337,24 @@ def test_closed_stdout_ends_without_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
-def test_a_law_value_beyond_float_range_exits_2():
+def test_a_law_value_beyond_float_range_exits_2(capsys):
     # at (300, 300, 3300) the density's recurrence leaves the float range
     # away from the bulk: each command refuses instead of printing nan, and
-    # its one error line is all it writes (no numpy warning before it)
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    # its one error line is all it writes (a numpy warning would raise here)
     triple = ["--mp", "300", "--p", "300", "--np", "3300"]
     for argv in (
         ["pdf", *triple, "--grid", "0.1", "3", "3"],
         ["cdf", *triple, "--grid", "0.1", "3", "3"],
         ["verify", "normalization", *triple],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gsvdist.cli", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=60,
-        )
-        assert proc.returncode == 2 and proc.stdout == "", argv
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith("error: a law value is not finite"), proc.stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: a law value is not finite"), captured.err
 
 
 @pytest.mark.parametrize(

@@ -22,9 +22,11 @@ def test_ginibre_determinism():
 
 
 def test_ginibre_streams_differ():
-    a = sample_ginibre(4, 4, RngStream(42, 0))
-    b = sample_ginibre(4, 4, RngStream(42, 1))
-    assert not np.allclose(a, b)
+    # seeds and indices at or past 2^64 do not wrap onto small ones
+    for one, other in (((42, 0), (42, 1)), ((2**64, 0), (0, 0)), ((0, 2**64), (0, 0))):
+        a = sample_ginibre(4, 4, RngStream(*one))
+        b = sample_ginibre(4, 4, RngStream(*other))
+        assert not np.allclose(a, b)
 
 
 @pytest.mark.parametrize("count", [None, 7])

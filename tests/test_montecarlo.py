@@ -27,7 +27,6 @@ from gsvdist import (
     mean_report,
     q_power_trace,
     quadrature_integrate,
-    marginal_pdf,
     reduced_dims,
     run_experiment,
     sample_alpha_haar,
@@ -378,12 +377,12 @@ def test_q_power_batch_matches_per_draw_reduction():
 
 
 def test_gsvd_moment_matches_quadrature():
-    # E[alpha^2] = integral of w/(1+w) against the reduced-law density
+    # (2,3,4) reduces to (3,1,4): one eigenvalue, with alpha^2 = w/(1+w)
+    # Beta(a + 1, b + 1) at a = 2, b = 1, whose exact mean is 3/5
     dims = ProblemDims(2, 3, 4)
     params = law_params(*reduced_dims(dims).as_tuple())
-    target = quadrature_integrate(
-        lambda w: w / (1.0 + w) * marginal_pdf(params, w), 1e-9
-    )
+    assert (params.l, params.t1, params.t1_reciprocal) == (1, 2, 1)
+    target = 3 / 5
     batch = sample_w_gsvd(dims, 10_000, RngStream(6))
     alpha_sq = batch.values[:, 0] / (1.0 + batch.values[:, 0])
     se = alpha_sq.std(ddof=1) / np.sqrt(alpha_sq.size)
@@ -486,6 +485,8 @@ def test_run_batch_aborts_when_chunks_within_budget_sum_over_it(workers):
          DecompositionError, "stacked pair is rank deficient"),
         (lambda: ProblemDims(0, 1, 1), DimensionError,
          "dimensions must be >= 1, got ProblemDims(m=0, q=1, n=1)"),
+        (lambda: RngStream(0, -1), ParameterError,
+         "seed and stream index must be >= 0, got RngStream(master_seed=0, stream_index=-1)"),
         (lambda: GsvdSpectrum(np.full((1, 1), 0.5)), DimensionError, "alphas must be a 1-d array"),
         (lambda: GsvdSpectrum(np.array([0.2, 0.5])), DegeneracyError,
          "alphas must lie in (0,1), descending"),
@@ -495,8 +496,8 @@ def test_run_batch_aborts_when_chunks_within_budget_sum_over_it(workers):
 )
 def test_library_refusals(call, error, message):
     # refusals that no CLI test reaches: a missing input, one value for a
-    # mean test, a rank-deficient stack, a dimension below 1, and alphas
-    # that are not 1-d or not descending inside (0, 1)
+    # mean test, a rank-deficient stack, a dimension below 1, a negative
+    # stream index, and alphas that are not 1-d or not descending inside (0, 1)
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
@@ -866,6 +867,17 @@ def test_samples_too_few_to_reject_are_refused_before_any_draw(monkeypatch, expe
         monkeypatch.setattr(mc, name, no_draw)
     with pytest.raises(ParameterError, match="too few"):
         run_experiment(experiment, dims=ProblemDims(*dims), samples=samples)
+
+
+def test_negative_seed_is_refused_before_any_draw(monkeypatch):
+    import gsvdist.montecarlo as mc
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(mc, "sample_w_gsvd", no_draw)
+    with pytest.raises(ParameterError, match="seed and stream index must be >= 0"):
+        run_experiment("equivalence", dims=ProblemDims(2, 3, 2), seed=-1)
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,11 @@
 
 import ast
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from gsvdist import law_params, marginal_cdf, marginal_pdf, quadrature_integrate
 from gsvdist.errors import ParameterError, QuadratureError
@@ -23,12 +22,6 @@ def test_beta_integral():
     assert quadrature_integrate(
         lambda w: 2.0 * w / (1.0 + w) ** 3, 1e-10
     ) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_marginal_density_normalizes():
-    params = law_params(2, 2, 3)
-    integral = quadrature_integrate(lambda w: marginal_pdf(params, w), 1e-8)
-    assert integral == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("triple", [(6, 6, 8), (8, 8, 9), (7, 9, 12)])
@@ -48,24 +41,18 @@ def test_marginal_density_takes_one_gauss_panel(triple):
     assert [w.shape for w in calls] == [(20,), (40,)]
 
 
-def test_sweep_matches_scipy_and_mpmath_quadrature():
-    # E[u] under each benchmark triple's law, u = w/(1+w), is no known
-    # constant; QUADPACK and mpmath's tanh-sinh rule give it independently
+def test_sweep_matches_the_exact_mean():
+    # E[u] under each benchmark triple's law, u = w/(1+w), is the Jacobi
+    # ensemble's exact (a + l) / (a + b + 2l) (Aomoto), with a = t1 and b the
+    # reciprocal law's exponent
     sweep = [(mp, p, n) for mp in range(1, 7) for p in range(1, 7) for n in range(mp, 9)]
+    assert len(sweep) == 198
     for triple in sweep:
         params = law_params(*triple)
-
-        def moment(w):
-            return w / (1.0 + w) * marginal_pdf(params, w)
-
-        value = quadrature_integrate(moment, 1e-8)
-        quadpack, _ = quad(
-            lambda u: moment(u / (1.0 - u)) / (1.0 - u) ** 2, 0.0, 1.0,
-            epsabs=0.0, epsrel=1e-12, limit=200,
-        )
-        tanh_sinh = float(mpmath.quad(lambda w: moment(float(w)), [0, 1, mpmath.inf]))
-        assert value == pytest.approx(quadpack, rel=1e-8), triple
-        assert value == pytest.approx(tanh_sinh, rel=1e-8), triple
+        l, a, b = params.l, params.t1, params.t1_reciprocal
+        value = quadrature_integrate(lambda w: w / (1.0 + w) * marginal_pdf(params, w), 1e-8)
+        exact = Fraction(a + l, a + b + 2 * l)
+        assert value == pytest.approx(float(exact), rel=1e-12), triple
         density = quadrature_integrate(lambda w: marginal_pdf(params, w), 1e-8)
         assert density == pytest.approx(1.0, abs=1e-6), triple
 
