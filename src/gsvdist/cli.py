@@ -43,15 +43,7 @@ from .engine import (
 from .ensembles import RngStream
 from .errors import GsvdistError
 from .laws import law_params, marginal_cdf, marginal_pdf
-from .montecarlo import (
-    Experiment,
-    SamplerId,
-    run_experiment,
-    sample_alpha_haar,
-    sample_q_power,
-    sample_w_fmatrix,
-    sample_w_gsvd,
-)
+from .montecarlo import _SOURCES, Experiment, SamplerId, run_experiment
 
 OUT_DIR_ENV = "GSVDIST_OUT_DIR"
 DEFAULT_GRID = (1e-3, 1e3, 200)
@@ -168,21 +160,12 @@ def _law_table(args, law) -> int:
     return 0
 
 
-# sampler -> (dimension record, draw); the lambdas look the sampler up at
-# call time, so a wrapper bound to its module name sees the call
-_SAMPLERS = {
-    SamplerId.GSVD: (ProblemDims, lambda *run: sample_w_gsvd(*run)),
-    SamplerId.F_MATRIX: (ReducedDims, lambda *run: sample_w_fmatrix(*run)),
-    SamplerId.HAAR_BLOCK: (ProblemDims, lambda *run: sample_alpha_haar(*run)),
-    SamplerId.Q_POWER: (ProblemDims, lambda *run: sample_q_power(*run)),
-}
-
-
 def cmd_sample(args) -> int:
-    sampler = SamplerId(args.sampler)
-    record, draw = _SAMPLERS[sampler]
-    dims = _dims(args, record, f"sampler {sampler.value}")
-    batch = draw(dims, args.samples, RngStream(args.seed), args.workers)
+    # each sampler is the verification batch source of its name: the same
+    # dimension record and the same draws, valued in w (qpower: the power)
+    record, source = _SOURCES[args.sampler]
+    dims = _dims(args, record, f"sampler {args.sampler}")
+    batch = source(dims, args.samples, RngStream(args.seed), args.workers)
     values = batch.values.tolist()
     data = {
         "sampler": batch.sampler_id.value,
@@ -195,7 +178,7 @@ def cmd_sample(args) -> int:
     }
     # the comment is one field with no comma or quote: csv writes it as is
     comment = (
-        f"# sampler={sampler.value} dims={'x'.join(str(d) for d in batch.dims)} "
+        f"# sampler={args.sampler} dims={'x'.join(str(d) for d in batch.dims)} "
         f"seed={batch.seed} count={batch.count} arity={batch.arity}"
     )
     rows = (

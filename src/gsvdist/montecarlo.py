@@ -436,8 +436,10 @@ _CALIBRATION_NOTE = (
     "are artifact calibration choices, committed with the seed"
 )
 
-# batch source -> draw(dims, reduced, count, rng, workers), valued in w (the
-# two-sample KS statistic is unchanged by the monotone map alpha^2 -> w);
+# batch source -> (the dimension record it reads, draw(triple, count, rng,
+# workers)), valued in w (the two-sample KS statistic is unchanged by the
+# monotone map alpha^2 -> w); the CLI's sample command reads it too, so each
+# SamplerId value names a source;
 # test -> (report(batches, dims, reduced, alpha level), powerless(n, alpha)),
 # where powerless says whether n draws per batch leave the test unable to
 # reject: a KS statistic never exceeds one, and a mean test needs two draws.
@@ -445,13 +447,14 @@ _CALIBRATION_NOTE = (
 # wrapper bound to their names, such as a tracer or a draw counter, sees
 # every call.
 _SOURCES = {
-    "gsvd": lambda dims, rd, *run: sample_w_gsvd(dims, *run),
-    "fmatrix": lambda dims, rd, *run: sample_w_fmatrix(rd, *run),
-    "haar": lambda dims, rd, *run: alpha_sq_to_w(sample_alpha_haar(dims, *run)),
-    "haar_lower": lambda dims, rd, *run: alpha_sq_to_w(
-        sample_alpha_haar(dims, *run, block="lower_right")
+    "gsvd": (ProblemDims, lambda *run: sample_w_gsvd(*run)),
+    "fmatrix": (ReducedDims, lambda *run: sample_w_fmatrix(*run)),
+    "haar": (ProblemDims, lambda *run: alpha_sq_to_w(sample_alpha_haar(*run))),
+    "haar_lower": (
+        ProblemDims,
+        lambda *run: alpha_sq_to_w(sample_alpha_haar(*run, block="lower_right")),
     ),
-    "qpower": lambda dims, rd, *run: sample_q_power(dims, *run),
+    "qpower": (ProblemDims, lambda *run: sample_q_power(*run)),
 }
 _TESTS = {
     "ks_two_sample": (
@@ -470,12 +473,13 @@ _TESTS = {
 
 
 # experiment -> its checks, (name, test, ((source, stream index), ...)) each.
-# The refusals and the record follow from the names the checks read: a
-# source or test in _READS_REDUCED reads (m', p, n'), so its experiment
-# refuses s = 0 and records the triple; the Haar truncation sources in
-# _TRUNCATED, "haar" and "haar_lower", refuse dims outside q < n < q + m;
-# and a "mean" check refuses |m + q - n| < MEAN_TEST_MIN_GAP
-_READS_REDUCED = {"fmatrix", "ks_one_sample"}
+# The refusals and the record follow from the names the checks read: the
+# names in _READS_REDUCED, each source whose record is ReducedDims and the
+# test "ks_one_sample", read (m', p, n'), so their experiment refuses s = 0
+# and records the triple; the Haar truncation sources in _TRUNCATED, "haar"
+# and "haar_lower", refuse dims outside q < n < q + m; and a "mean" check
+# refuses |m + q - n| < MEAN_TEST_MIN_GAP
+_READS_REDUCED = {"ks_one_sample"} | {s for s, (rec, _) in _SOURCES.items() if rec is ReducedDims}
 _TRUNCATED = {"haar", "haar_lower"}
 _SAMPLING = {
     Experiment.EQUIVALENCE: (
@@ -515,12 +519,15 @@ def run_experiment(
     ``q < n < q + m`` where a Haar truncation is drawn, and a mean test
     closer than ``MEAN_TEST_MIN_GAP`` to ``m + q = n`` raise
     :class:`RegimeError`, ``samples`` so few that some check could not
-    reject raises :class:`ParameterError`, and last a sampling experiment's
-    negative ``seed`` raises :class:`ParameterError` from :class:`RngStream`.
+    reject raises :class:`ParameterError`, and last a negative ``seed``
+    raises :class:`ParameterError` from :class:`RngStream`, for every
+    experiment.  Each batch source reads the triple of its dimension
+    record in ``_SOURCES``, the pair or the reduced one.
     The report is a pure function of the seed; ``workers`` sets threads
     only, and appears in the report's attributes but not in ``to_dict``.
-    ``normalization`` reads no ``seed``, ``samples`` or ``alpha_level``:
-    it records each as ``None`` and carries no calibration note.
+    ``normalization`` draws nothing: it refuses the same bad inputs as the
+    others, reads no ``seed``, ``samples`` or ``alpha_level`` after that,
+    records each as ``None`` and carries no calibration note.
     """
     experiment = Experiment(experiment)
     _check_alpha(alpha_level)
@@ -545,6 +552,7 @@ def run_experiment(
     for name, test, _ in sampling:
         if _TESTS[test][1](samples, alpha_level):
             raise ParameterError(f"samples = {samples} is too few: {name} could not reject")
+    RngStream(seed)  # the seed's domain is the stream's
 
     start = time.perf_counter()
     record, checks = asdict(triple), []
@@ -564,10 +572,10 @@ def run_experiment(
         rd = reduced_dims(dims)
         if names & _READS_REDUCED:
             record.update(asdict(rd))
-        batches = {
-            (src, i): _SOURCES[src](dims, rd, samples, RngStream(seed, i), workers)
-            for src, i in dict.fromkeys(key for _, _, reads in sampling for key in reads)
-        }
+        triples, batches = {ProblemDims: dims, ReducedDims: rd}, {}
+        for src, i in dict.fromkeys(key for _, _, reads in sampling for key in reads):
+            record_cls, draw = _SOURCES[src]
+            batches[src, i] = draw(triples[record_cls], samples, RngStream(seed, i), workers)
         for name, test, reads in sampling:
             read = [batches[key] for key in reads]
             report = _TESTS[test][0](read, dims, rd, alpha_level).to_dict()

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from gsvdist.cli import main
-from gsvdist.montecarlo import CHUNK
+from gsvdist.ensembles import RngStream
+from gsvdist.montecarlo import _SOURCES, CHUNK
 
 
 def _run(capsys, argv):
@@ -191,13 +192,28 @@ def test_sample_json_data_ignores_workers(capsys):
     assert len(set(dumps)) == 1
 
 
-@pytest.mark.parametrize(
-    "sampler, dims",
-    [("gsvd", ["--m", "2", "--q", "3", "--n", "2"]),
-     ("fmatrix", ["--mp", "2", "--p", "2", "--np", "3"]),
-     ("haar", ["--m", "2", "--q", "3", "--n", "4"]),
-     ("qpower", ["--m", "2", "--q", "2", "--n", "8"])],
-)
+# each sampler with the flags of its dimension record
+SAMPLER_DIMS = [
+    ("gsvd", ["--m", "2", "--q", "3", "--n", "2"]),
+    ("fmatrix", ["--mp", "2", "--p", "2", "--np", "3"]),
+    ("haar", ["--m", "2", "--q", "3", "--n", "4"]),
+    ("qpower", ["--m", "2", "--q", "2", "--n", "8"]),
+]
+
+
+@pytest.mark.parametrize("sampler, dims", SAMPLER_DIMS)
+def test_sample_dump_is_the_verification_batch(capsys, sampler, dims):
+    # a sample dump holds the batch that verify's source of the same name
+    # draws for the same triple, seed and count: haar prints w, not alpha^2
+    code, out = _run(capsys, ["sample", "--sampler", sampler, *dims, "--samples", "6",
+                              "--seed", "4", "--format", "json"])
+    assert code == 0
+    record, draw = _SOURCES[sampler]
+    batch = draw(record(*map(int, dims[1::2])), 6, RngStream(4), 1)
+    assert json.loads(out)["data"]["values"] == batch.values.tolist()
+
+
+@pytest.mark.parametrize("sampler, dims", SAMPLER_DIMS)
 def test_sample_csv_json_identical_values(capsys, sampler, dims):
     argv = ["sample", "--sampler", sampler, *dims, "--samples", "6", "--seed", "4"]
     code, csv_out = _run(capsys, argv)
@@ -309,13 +325,15 @@ def test_verify_workers_below_one_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "flags, message",
     [(["--workers", "0", "--samples", "-5"], "samples = -5 is too few"),
-     (["--workers", "0"], "workers must be >= 1, got 0")],
+     (["--workers", "0"], "workers must be >= 1, got 0"),
+     (["--seed", "-1"], "seed and stream index must be >= 0")],
 )
 def test_verify_normalization_refuses_samples_and_workers(capsys, flags, message):
     code = main(["verify", "normalization", "--mp", "3", "--p", "2", "--np", "4", *flags])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert message in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
 
 
 def test_closed_stdout_ends_without_traceback():

@@ -376,7 +376,7 @@ def test_q_power_batch_matches_per_draw_reduction():
         assert batch.values[i, 0] == pytest.approx(q_power_trace(a[i], c[i]), rel=1e-10)
 
 
-def test_gsvd_moment_matches_quadrature():
+def test_gsvd_moment_is_the_exact_beta_mean():
     # (2,3,4) reduces to (3,1,4): one eigenvalue, with alpha^2 = w/(1+w)
     # Beta(a + 1, b + 1) at a = 2, b = 1, whose exact mean is 3/5
     dims = ProblemDims(2, 3, 4)
@@ -899,6 +899,18 @@ def test_normalization_refuses_samples_and_workers_before_any_work(
         run_experiment(
             "normalization", reduced=ReducedDims(3, 2, 4), samples=samples, workers=workers
         )
+
+
+def test_normalization_refuses_a_negative_seed_before_any_work(monkeypatch):
+    # it draws nothing, but the seed's domain is RngStream's for every experiment
+    import gsvdist.montecarlo as mc
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("integrated before refusing")
+
+    monkeypatch.setattr(mc, "quadrature_integrate", no_work)
+    with pytest.raises(ParameterError, match="seed and stream index must be >= 0"):
+        run_experiment("normalization", reduced=ReducedDims(3, 2, 4), seed=-1)
 
 
 def test_fewest_samples_that_can_reject_still_run():

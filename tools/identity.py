@@ -21,8 +21,8 @@ It prints four SHA-256 digests, one a line:
 * ``refusals``: one line per call of ``run_experiment`` over every
   experiment, ``REFUSAL_DIMS`` (the triple goes in as ``reduced`` for
   ``normalization`` and as ``dims`` otherwise; ``None`` leaves it out),
-  samples 0, 1, 2 and 5 and ``alpha_level`` 0.01 and 1.5: the exception's
-  type and message, or ``passed`` when the call returns.
+  samples 0, 1, 2 and 5, ``alpha_level`` 0.01 and 1.5 and seeds 0 and -1:
+  the exception's type and message, or ``passed`` when the call returns.
 
 Each digest runs over its pieces in that order.  ``--rows`` also prints the
 refusal lines, so that a diff of two outputs names the rows that changed.
@@ -52,6 +52,7 @@ import sys
 import tarfile
 import tempfile
 from dataclasses import asdict
+from itertools import product
 
 import numpy as np
 
@@ -121,15 +122,14 @@ def refusal_rows() -> list[str]:
             if dims is not None:
                 triple = ({"reduced": g.ReducedDims(*dims)} if experiment.takes_reduced
                           else {"dims": g.ProblemDims(*dims)})
-            for samples in (0, 1, 2, 5):
-                for alpha_level in (0.01, 1.5):
-                    try:
-                        g.run_experiment(experiment, samples=samples, alpha_level=alpha_level,
-                                         **triple)
-                        outcome = "passed"
-                    except GsvdistError as exc:
-                        outcome = f"{type(exc).__name__}: {exc}"
-                    rows.append(f"{experiment.value} {dims} {samples} {alpha_level}: {outcome}")
+            for samples, alpha_level, seed in product((0, 1, 2, 5), (0.01, 1.5), (0, -1)):
+                try:
+                    g.run_experiment(experiment, samples=samples, alpha_level=alpha_level,
+                                     seed=seed, **triple)
+                    outcome = "passed"
+                except GsvdistError as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                rows.append(f"{experiment.value} {dims} {samples} {alpha_level} {seed}: {outcome}")
     return rows
 
 
